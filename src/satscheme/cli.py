@@ -105,17 +105,22 @@ def _emit_scheme(args, s: Scheme, extra: dict | None = None) -> int:
     return EXIT_OK
 
 
+def _index(token: str, size: int, what: str, spec: str) -> int:
+    """1-based `what` index (a token of `spec`) -> 0-based, range-checked."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise SchemeParseError(f"bad {what} {token.strip()!r} in {spec!r}") from None
+    if not 1 <= value <= size:
+        bound = "m" if what == "row" else "n"
+        raise SchemeParseError(f"{what} {value} out of range ({bound}={size})")
+    return value - 1
+
+
 def _parse_order(text: str | None, n: int) -> list[int] | None:
     if text is None:
         return None
-    try:
-        order = [int(tok) - 1 for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise SchemeParseError(f"bad order {text!r}: expected comma-separated integers") from None
-    for v in order:
-        if not 0 <= v < n:
-            raise SchemeParseError(f"order entry {v + 1} out of range (n={n})")
-    return order
+    return [_index(tok, n, "variable", text) for tok in text.split(",") if tok.strip()]
 
 
 # --- transform pipeline ------------------------------------------------------
@@ -127,12 +132,14 @@ def _apply_op(s: Scheme, spec: str) -> tuple[Scheme, dict]:
     if argtext:
         entry["args"] = argtext
 
+    def var(token: str) -> int:
+        return _index(token, s.n, "variable", spec)
+
     if name == "flip":
-        cols = [int(t) - 1 for t in argtext.split(",")]
-        return transforms.flip(s, cols), entry
+        return transforms.flip(s, [var(t) for t in argtext.split(",")]), entry
     if name == "blow_up":
-        row, col = (int(t) for t in argtext.split(","))
-        return transforms.blow_up(s, row - 1, col - 1), entry
+        row, _, col = argtext.partition(",")
+        return transforms.blow_up(s, _index(row, s.m, "row", spec), var(col)), entry
     if name == "shrink":
         return transforms.shrink(s), entry
     if name == "drop_subsumed":
@@ -148,13 +155,13 @@ def _apply_op(s: Scheme, spec: str) -> tuple[Scheme, dict]:
     if name == "assign":
         var_text, _, val_text = argtext.partition("=")
         value = val_text.strip().lower() in ("true", "1", "t")
-        return transforms.assign(s, int(var_text) - 1, value), entry
+        return transforms.assign(s, var(var_text), value), entry
     if name == "resolve":
-        out, conclusive = transforms.resolve(s, int(argtext) - 1)
+        out, conclusive = transforms.resolve(s, var(argtext))
         entry["conclusive"] = conclusive
         return out, entry
     if name == "split":
-        return transforms.split(s, int(argtext) - 1).recombined, entry
+        return transforms.split(s, var(argtext)).recombined, entry
     if name == "read3":
         return transforms.reduce_read3(s), entry
     raise SchemeParseError(f"unknown transform op {spec!r}")
@@ -254,7 +261,7 @@ def _cmd_solve(args) -> int:
         sat, witness = res.satisfiable, res.witness
         payload = {"method": method, "satisfiable": sat, "witness": _witness_json(witness), "steps": res.steps}
     elif method == "oracle":
-        report = oracle.oracle_scan(s, limit=args.limit, jobs=args.jobs)
+        report = oracle.oracle_scan(s, limit=args.limit)
         sat = report.count > 0
         witness = report.witness if sat else None
         payload = {
@@ -321,7 +328,7 @@ def _cmd_read3(args) -> int:
 
 def _cmd_oracle(args) -> int:
     s = read_scheme(args)
-    report = oracle.oracle_scan(s, limit=args.limit, jobs=args.jobs)
+    report = oracle.oracle_scan(s, limit=args.limit)
     _print_json(
         {
             "count": report.count,
@@ -405,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("2sat", "horn", "oracle", "split", "minimize"), required=True)
     p.add_argument("--order", help="comma-separated 1-based variable order (split/minimize)")
     p.add_argument("--limit", type=int, default=None, help="oracle variable cap override")
-    p.add_argument("--jobs", type=int, default=1, help="parallel blocks for the numpy oracle path")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("minimize", help="exact minimum of the violated-clause count")
@@ -433,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force scan of all assignments")
     _add_input_opts(p)
     p.add_argument("--limit", type=int, default=None, help="variable cap override")
-    p.add_argument("--jobs", type=int, default=1, help="parallel blocks for the numpy path")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

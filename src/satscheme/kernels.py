@@ -1,28 +1,28 @@
 """Assignment-space scan kernels.
 
-Everything here walks all 2**n assignments of a formula, which dominates the
+Everything here covers all 2**n assignments of a formula, which dominates the
 runtime of the brute-force oracle and of the exact eigenvalue-bound check.
-Two implementations are kept in lockstep:
+Both scans split and multiply (after R. Williams, "A new algorithm for
+optimal 2-constraint satisfaction and its implications", TCS 2005):
 
-* a numba-jitted Gray-code walk that updates per-clause satisfied-literal
-  counters incrementally (one variable flip per step), and
-* a pure-numpy block scan that evaluates whole batches of assignments with
-  matrix operations.
+* the variables split into a low half (the low ``n // 2`` code bits) and a
+  high half;
+* per term (a clause, or a monomial of the cubic form) each half-assignment
+  gets one table entry for its part of the term;
+* one matrix product of a chunk of high-half rows with the low-half table
+  gives the value of every code in that chunk, in ascending code order.
 
-The active backend is chosen once at import from the environment variable
-``SATSCHEME_KERNEL`` (``numba`` or ``numpy``, default ``numba``).  If numba
-is unavailable the numpy path is used regardless.  ``benchmarks/bench_kernels.py``
-times one against the other.
+The high half is processed in chunks of about ``_CHUNK_ENTRIES`` codes, so
+memory stays flat at any n.  The products are exact: violation counts are
+small integers (exact in float32 for m < 2**24, float64 beyond), and the
+cubic form's values are exact in float64 for dyadic coefficients with small
+exponents.
 
 Assignment encoding: an assignment is an integer code in [0, 2**n); bit j set
 means x_j = +1 (true), clear means x_j = -1.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,31 +32,16 @@ __all__ = [
     "cubic_form_scan",
     "assignment_profile",
     "decode_assignment",
-    "HAS_NUMBA",
 ]
 
+# Codes per matrix product; a chunk spans max(1, _CHUNK_ENTRIES >> lo) high rows.
+_CHUNK_ENTRIES = 1 << 18
 _BLOCK_BITS = 16
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAS_NUMBA = False
-
-_env = os.environ.get("SATSCHEME_KERNEL", "numba").strip().lower()
-if _env not in ("numba", "numpy"):
-    warnings.warn(f"SATSCHEME_KERNEL={_env!r} not recognized; using 'numba'")
-    _env = "numba"
-if _env == "numba" and not HAS_NUMBA:
-    warnings.warn("numba unavailable; falling back to the numpy kernel backend")
-    _env = "numpy"
-_BACKEND = _env
 
 
 def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _BACKEND
+    """Name of the kernel implementation (always 'numpy')."""
+    return "numpy"
 
 
 def decode_assignment(code: int, n: int) -> tuple[int, ...]:
@@ -64,153 +49,111 @@ def decode_assignment(code: int, n: int) -> tuple[int, ...]:
     return tuple(1 if (code >> j) & 1 else -1 for j in range(n))
 
 
-# --- numba implementations ---------------------------------------------------
+# --- split-and-multiply scans ------------------------------------------------
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _assignment_scan_numba(fmat, collect):
-        m, n = fmat.shape
-        total = np.int64(1) << n
-
-        # var -> clause adjacency (CSR)
-        counts = np.zeros(n + 1, np.int64)
-        for i in range(m):
-            for j in range(n):
-                if fmat[i, j] != 0:
-                    counts[j + 1] += 1
-        indptr = np.zeros(n + 1, np.int64)
-        for j in range(n):
-            indptr[j + 1] = indptr[j] + counts[j + 1]
-        fill = indptr[:n].copy()
-        adj = np.empty(indptr[n], np.int64)
-        for i in range(m):
-            for j in range(n):
-                if fmat[i, j] != 0:
-                    adj[fill[j]] = i
-                    fill[j] += 1
-
-        x = np.full(n, -1, np.int8)
-        sat = np.zeros(m, np.int64)
-        u = 0
-        for i in range(m):
-            c = 0
-            for j in range(n):
-                if fmat[i, j] == -1:
-                    c += 1
-            sat[i] = c
-            if c == 0:
-                u += 1
-
-        hist = np.zeros(m + 1, np.int64)
-        sols = np.empty(total if collect else 1, np.int64)
-        n_sols = 0
-        sat_count = 0
-        code = np.int64(0)
-        u_min = u
-        min_code = code
-
-        hist[u] += 1
-        if u == 0:
-            sat_count += 1
-            if collect:
-                sols[n_sols] = code
-                n_sols += 1
-
-        for t in range(1, total):
-            v = 0
-            tt = t
-            while tt & 1 == 0:
-                tt >>= 1
-                v += 1
-            newx = -x[v]
-            x[v] = newx
-            code ^= np.int64(1) << v
-            for k in range(indptr[v], indptr[v + 1]):
-                i = adj[k]
-                if fmat[i, v] == newx:
-                    sat[i] += 1
-                    if sat[i] == 1:
-                        u -= 1
-                else:
-                    sat[i] -= 1
-                    if sat[i] == 0:
-                        u += 1
-            hist[u] += 1
-            if u < u_min or (u == u_min and code < min_code):
-                u_min = u
-                min_code = code
-            if u == 0:
-                sat_count += 1
-                if collect:
-                    sols[n_sols] = code
-                    n_sols += 1
-
-        return sat_count, u_min, min_code, hist, sols[:n_sols]
-
-    @njit(cache=True)
-    def _cubic_form_scan_numba(n, lam, nu_idx, nu_val):
-        total = np.int64(1) << n
-        t_count = nu_idx.shape[0]
-
-        counts = np.zeros(n + 1, np.int64)
-        for t in range(t_count):
-            for a in range(3):
-                counts[nu_idx[t, a] + 1] += 1
-        indptr = np.zeros(n + 1, np.int64)
-        for j in range(n):
-            indptr[j + 1] = indptr[j] + counts[j + 1]
-        fill = indptr[:n].copy()
-        adj = np.empty(indptr[n], np.int64)
-        for t in range(t_count):
-            for a in range(3):
-                j = nu_idx[t, a]
-                adj[fill[j]] = t
-                fill[j] += 1
-
-        x = np.full(n, -1.0, np.float64)
-        val = 0.0
-        for j in range(n):
-            val -= lam[j]
-        for t in range(t_count):
-            val -= nu_val[t]
-
-        code = np.int64(0)
-        min_val = val
-        min_code = code
-        max_val = val
-        max_code = code
-
-        for step in range(1, total):
-            v = 0
-            tt = step
-            while tt & 1 == 0:
-                tt >>= 1
-                v += 1
-            newx = -x[v]
-            x[v] = newx
-            code ^= np.int64(1) << v
-            delta = lam[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                t = adj[k]
-                prod = 1.0
-                for a in range(3):
-                    j = nu_idx[t, a]
-                    if j != v:
-                        prod *= x[j]
-                delta += nu_val[t] * prod
-            val += 2.0 * newx * delta
-            if val < min_val or (val == min_val and code < min_code):
-                min_val = val
-                min_code = code
-            if val > max_val or (val == max_val and code < max_code):
-                max_val = val
-                max_code = code
-
-        return min_val, min_code, max_val, max_code
+def _bits(start: int, stop: int, width: int) -> np.ndarray:
+    """0/1 matrix of the low `width` bits of the codes start..stop-1."""
+    codes = np.arange(start, stop, dtype=np.int64)
+    return ((codes[:, None] >> np.arange(width, dtype=np.int64)) & 1).astype(np.float64)
 
 
-# --- numpy implementations ---------------------------------------------------
+def _chunks(n: int):
+    """(lo, row ranges of the high half) for a scan over n variables."""
+    lo = n // 2
+    rows = max(1, _CHUNK_ENTRIES >> lo)
+    high = 1 << (n - lo)
+    return lo, [(h, min(h + rows, high)) for h in range(0, high, rows)]
+
+
+def _falsified(pos: np.ndarray, neg: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:
+    """1 where half-codes start..stop-1 make no literal of a clause's half true.
+
+    `pos`/`neg` are the 0/1 positive/negative literal incidences (m x width)
+    of one half; the result is (stop - start) x m.
+    """
+    bits = _bits(start, stop, pos.shape[1])
+    true_lits = bits @ (pos - neg).T + neg.sum(axis=1)
+    return (true_lits == 0).astype(dtype)
+
+
+def assignment_scan(fmat: np.ndarray, collect: bool = False):
+    """Scan all assignments of the clause matrix.
+
+    Returns (sat_count, u_min, min_code, hist, solution_codes) where hist[k]
+    is the number of assignments violating exactly k clauses, u_min the least
+    violation count, min_code the smallest assignment code attaining it, and
+    solution_codes the codes with zero violations (ascending; empty unless
+    `collect`).
+    """
+    fmat = np.asarray(fmat, dtype=np.int8)
+    m, n = fmat.shape
+    lo, chunks = _chunks(n)
+    pos = (fmat == 1).astype(np.float64)
+    neg = (fmat == -1).astype(np.float64)
+    dtype = np.float32 if m < (1 << 24) else np.float64
+    low_t = np.ascontiguousarray(_falsified(pos[:, :lo], neg[:, :lo], 0, 1 << lo, dtype).T)
+
+    hist = np.zeros(m + 1, np.int64)
+    u_min, min_code = m + 1, -1
+    sols = []
+    for start, stop in chunks:
+        high = _falsified(pos[:, lo:], neg[:, lo:], start, stop, dtype)
+        u = (high @ low_t).astype(np.intp).ravel()
+        hist += np.bincount(u, minlength=m + 1)
+        k = int(u.argmin())
+        if u[k] < u_min:
+            u_min, min_code = int(u[k]), (start << lo) + k
+        if collect:
+            sols.append(np.flatnonzero(u == 0) + (start << lo))
+    sols = np.concatenate(sols) if sols else np.empty(0, np.int64)
+    return int(hist[0]), u_min, min_code, hist, sols
+
+
+def _monomials(support: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """+-1 value of each half-monomial at half-codes start..stop-1.
+
+    `support` is the 0/1 variable incidence (terms x width) of one half; a
+    monomial is -1 exactly when an odd number of its variables are -1.
+    """
+    set_bits = _bits(start, stop, support.shape[1]) @ support.T + support.sum(axis=1)
+    return 1.0 - 2.0 * (set_bits.astype(np.int64) & 1)
+
+
+def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndarray):
+    """Extrema of sum(lam_j x_j) + sum(nu_t x_i x_j x_k) over all sign vectors.
+
+    Returns (min_val, min_code, max_val, max_code) with smallest-code
+    tie-breaking.  Exact as long as inputs are dyadic with small exponents
+    (float64 then incurs no rounding).
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    nu_idx = np.asarray(nu_idx, dtype=np.int64).reshape(-1, 3)
+    nu_val = np.asarray(nu_val, dtype=np.float64)
+    # term t is coef[t] times the product of the variables in support[t]
+    support = np.zeros((n + len(nu_idx), n), np.int64)
+    support[np.arange(n), np.arange(n)] = 1
+    np.add.at(support, (np.arange(n, n + len(nu_idx))[:, None], nu_idx), 1)
+    support = (support % 2).astype(np.float64)
+    coef = np.concatenate([lam, nu_val])
+    keep = coef != 0
+    support, coef = support[keep], coef[keep]
+
+    lo, chunks = _chunks(n)
+    low_t = np.ascontiguousarray(_monomials(support[:, :lo], 0, 1 << lo).T)
+    min_val = max_val = None
+    min_code = max_code = -1
+    for start, stop in chunks:
+        high = _monomials(support[:, lo:], start, stop) * coef
+        val = (high @ low_t).ravel()
+        a, b = int(val.argmin()), int(val.argmax())
+        if min_val is None or val[a] < min_val:
+            min_val, min_code = float(val[a]), (start << lo) + a
+        if max_val is None or val[b] > max_val:
+            max_val, max_code = float(val[b]), (start << lo) + b
+    return min_val, min_code, max_val, max_code
+
+
+# --- reference profile -------------------------------------------------------
 
 def _signs_for_codes(codes: np.ndarray, n: int) -> np.ndarray:
     bits = (codes[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
@@ -231,96 +174,12 @@ def _block_violations(fmat: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return u
 
 
-def _assignment_scan_numpy(fmat, collect, jobs: int = 1):
-    m, n = fmat.shape
-    total = 1 << n
-    block = min(total, 1 << _BLOCK_BITS)
-    bases = range(0, total, block)
-
-    def scan_block(base):
-        codes = np.arange(base, min(base + block, total), dtype=np.int64)
-        u = _block_violations(fmat, codes)
-        hist = np.bincount(u, minlength=m + 1).astype(np.int64)
-        k = int(u.argmin())
-        part_sols = codes[u == 0] if collect else None
-        return hist, int(u[k]), int(codes[k]), part_sols
-
-    if jobs > 1 and len(bases) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(scan_block, bases))
-    else:
-        parts = [scan_block(b) for b in bases]
-
-    hist = np.zeros(m + 1, np.int64)
-    u_min, min_code = m + 1, -1
-    sols_parts = []
-    for part_hist, part_min, part_code, part_sols in parts:
-        hist += part_hist
-        if part_min < u_min or (part_min == u_min and part_code < min_code):
-            u_min, min_code = part_min, part_code
-        if collect and part_sols is not None and part_sols.size:
-            sols_parts.append(part_sols)
-    sols = np.concatenate(sols_parts) if sols_parts else np.empty(0, np.int64)
-    return int(hist[0]), u_min, min_code, hist, sols
-
-
-def _cubic_form_scan_numpy(n, lam, nu_idx, nu_val):
-    total = 1 << n
-    block = min(total, 1 << _BLOCK_BITS)
-    min_val = max_val = None
-    min_code = max_code = -1
-    for base in range(0, total, block):
-        codes = np.arange(base, min(base + block, total), dtype=np.int64)
-        X = _signs_for_codes(codes, n).astype(np.float64)
-        val = X @ lam if n else np.zeros(len(codes))
-        for t in range(nu_idx.shape[0]):
-            i, j, k = nu_idx[t]
-            val += nu_val[t] * X[:, i] * X[:, j] * X[:, k]
-        lo, hi = int(val.argmin()), int(val.argmax())
-        if min_val is None or val[lo] < min_val:
-            min_val, min_code = float(val[lo]), int(codes[lo])
-        if max_val is None or val[hi] > max_val:
-            max_val, max_code = float(val[hi]), int(codes[hi])
-    return min_val, min_code, max_val, max_code
-
-
-# --- dispatch ----------------------------------------------------------------
-
-def assignment_scan(fmat: np.ndarray, collect: bool = False, jobs: int = 1):
-    """Scan all assignments of the clause matrix.
-
-    Returns (sat_count, u_min, min_code, hist, solution_codes) where hist[k]
-    is the number of assignments violating exactly k clauses, u_min the least
-    violation count, min_code the smallest assignment code attaining it, and
-    solution_codes the codes with zero violations (unsorted; empty unless
-    `collect`).
-    """
-    fmat = np.ascontiguousarray(fmat, dtype=np.int8)
-    if _BACKEND == "numba":
-        return _assignment_scan_numba(fmat, collect)
-    return _assignment_scan_numpy(fmat, collect, jobs=jobs)
-
-
-def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndarray):
-    """Extrema of sum(lam_j x_j) + sum(nu_t x_i x_j x_k) over all sign vectors.
-
-    Returns (min_val, min_code, max_val, max_code) with smallest-code
-    tie-breaking.  Exact as long as inputs are dyadic with small exponents
-    (float64 then incurs no rounding).
-    """
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    nu_idx = np.ascontiguousarray(nu_idx, dtype=np.int64).reshape(-1, 3)
-    nu_val = np.ascontiguousarray(nu_val, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _cubic_form_scan_numba(n, lam, nu_idx, nu_val)
-    return _cubic_form_scan_numpy(n, lam, nu_idx, nu_val)
-
-
 def assignment_profile(fmat: np.ndarray, limit: int = 24) -> np.ndarray:
     """Violated-clause count for every assignment code, as one array.
 
-    Materializes 2**n values, so n is capped (default 24).  Numpy-only: this
-    is an analysis/test surface, not a hot aggregate.
+    Materializes 2**n values, so n is capped (default 24).  This is an
+    analysis/test surface evaluated clause by clause, independent of the
+    split-and-multiply scan, not a hot aggregate.
     """
     fmat = np.ascontiguousarray(fmat, dtype=np.int8)
     n = fmat.shape[1]

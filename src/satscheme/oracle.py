@@ -1,9 +1,9 @@
 """Brute-force ground truth: enumerate every assignment.
 
 The oracle is the reference every other module is validated against.  It
-walks all 2**n assignments (Gray-code kernel), recording the exact model
-count, the minimum number of violated clauses, and the full histogram of
-violation counts.
+covers all 2**n assignments (the split-and-multiply scan in `kernels`),
+recording the exact model count, the minimum number of violated clauses, and
+the full histogram of violation counts.
 """
 
 from __future__ import annotations
@@ -43,20 +43,16 @@ def _limit() -> int:
     return int(env) if env else DEFAULT_LIMIT
 
 
-def oracle_scan(s: Scheme, limit: int | None = None, jobs: int = 1) -> OracleReport:
+def oracle_scan(s: Scheme, limit: int | None = None) -> OracleReport:
     """Scan all assignments of `s`; raises ValueError when n exceeds the cap."""
     cap = _limit() if limit is None else limit
     if s.n > cap:
         raise ValueError(f"oracle refuses n={s.n} > limit {cap}; raise the limit explicitly")
     collect = s.n <= SOLUTION_LIST_LIMIT
-    count, u_min, min_code, hist, sol_codes = kernels.assignment_scan(
-        s.cells, collect=collect, jobs=jobs
-    )
+    count, u_min, min_code, hist, sol_codes = kernels.assignment_scan(s.cells, collect=collect)
     solutions = None
     if collect:
-        solutions = tuple(
-            kernels.decode_assignment(int(c), s.n) for c in sorted(int(v) for v in sol_codes)
-        )
+        solutions = tuple(kernels.decode_assignment(int(c), s.n) for c in sol_codes)
     histogram = {int(v): int(c) for v, c in enumerate(hist) if c}
     return OracleReport(
         count=int(count),
@@ -70,8 +66,8 @@ def oracle_scan(s: Scheme, limit: int | None = None, jobs: int = 1) -> OracleRep
 def naive_scan(s: Scheme) -> OracleReport:
     """Plain nested-loop reference for the kernel scan (small n only).
 
-    Exists so the incremental Gray-code bookkeeping can be checked against
-    code nobody can get wrong.
+    Exists so the split-and-multiply scan can be checked against code nobody
+    can get wrong.
     """
     if s.n > 16:
         raise ValueError("naive_scan is a reference implementation; keep n <= 16")

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from satscheme.fixtures import fixture
@@ -25,21 +24,6 @@ def g():
 @pytest.fixture(scope="session")
 def gext():
     return fixture("Gext")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation before any timed assertion runs."""
-    from satscheme import kernels
-
-    tiny = np.array([[1, -1], [0, 1]], dtype=np.int8)
-    kernels.assignment_scan(tiny, collect=True)
-    kernels.cubic_form_scan(
-        2,
-        np.array([0.5, -0.25]),
-        np.zeros((0, 3), dtype=np.int64),
-        np.zeros(0),
-    )
 
 
 def random_scheme(

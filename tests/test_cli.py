@@ -141,6 +141,30 @@ def test_error_exit_code(capsys, tmp_path):
     assert "tautology" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        ("resolve:9", "variable 9 out of range (n=4)"),
+        ("resolve:0", "variable 0 out of range (n=4)"),
+        ("split:5", "variable 5 out of range (n=4)"),
+        ("assign:9=true", "variable 9 out of range (n=4)"),
+        ("assign:-1=false", "variable -1 out of range (n=4)"),
+        ("flip:1,5", "variable 5 out of range (n=4)"),
+        ("blow_up:3,1", "row 3 out of range (m=2)"),
+        ("blow_up:1,9", "variable 9 out of range (n=4)"),
+        ("resolve:x", "bad variable 'x' in 'resolve:x'"),
+        ("blow_up:1", "bad variable '' in 'blow_up:1'"),
+    ],
+)
+def test_transform_index_out_of_range(capsys, tmp_path, op, message):
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 4 2\n1 -2 0\n3 4 0\n")
+    code = main(["transform", "--ops", op, "-f", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_drop_tautologies_flag(capsys, tmp_path):
     f = tmp_path / "taut.txt"
     f.write_text("p cnf 2 2\n1 -1 0\n2 0")
