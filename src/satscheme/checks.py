@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, pt_solvers
 from .dyadic import Dyadic
-from .pseudo_boolean import PBForm, eval_u, pb_coefficients, unsat_count_direct
+from .pseudo_boolean import PBForm, clause_mass, eval_u, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme, Status, status
 from .transforms import resolve
 
@@ -101,9 +101,7 @@ def check_clause_mass(s: Scheme) -> Verdict:
     """
     if s.has_empty_row():
         return Verdict.unsat(reason="empty clause present")
-    mass = Dyadic(0)
-    for i in range(s.m):
-        mass = mass + Dyadic.half_pow(s.row_size(i))
+    mass = clause_mass(s)
     if mass < Dyadic(1):
         return Verdict.sat(mass=mass)
     return Verdict.inconclusive(mass=mass)
@@ -114,13 +112,14 @@ def check_coefficient_bound(p: PBForm) -> Verdict:
 
     u(x) = C - (terms); the terms are bounded by the sum of absolute
     coefficient values, so if that mass is strictly below C then u stays
-    positive everywhere.  Exact dyadic comparison; also applied to reduced
-    subformulas by the minimizer.
+    positive everywhere.  Exact integer comparison at the form's scale;
+    also applied to reduced subformulas by the minimizer.
     """
     mass = p.coefficient_mass()
+    evidence = {"constant": Dyadic(p.const, p.scale_exp), "mass": Dyadic(mass, p.scale_exp)}
     if mass < p.const:
-        return Verdict.unsat(constant=p.const, mass=mass)
-    return Verdict.inconclusive(constant=p.const, mass=mass)
+        return Verdict.unsat(**evidence)
+    return Verdict.inconclusive(**evidence)
 
 
 def _unit_u_all_true_direct(s: Scheme) -> int:
@@ -194,25 +193,7 @@ def jacobi_eigenvalues(mat: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: in
 
 
 def _rayleigh_matrix(p: PBForm) -> np.ndarray:
-    mat = np.zeros((p.n, p.n), dtype=np.float64)
-    c_over_n = float(p.const) / p.n
-    for j in range(p.n):
-        mat[j, j] = c_over_n
-    for (i, j), v in p.mu.items():
-        mat[i, j] = mat[j, i] = 0.5 * float(v)
-    return mat
-
-
-def _cubic_arrays(p: PBForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lam = np.array([float(v) for v in p.lam], dtype=np.float64)
-    if p.nu:
-        keys = sorted(p.nu)
-        nu_idx = np.array(keys, dtype=np.int64)
-        nu_val = np.array([float(p.nu[k]) for k in keys], dtype=np.float64)
-    else:
-        nu_idx = np.zeros((0, 3), dtype=np.int64)
-        nu_val = np.zeros(0, dtype=np.float64)
-    return lam, nu_idx, nu_val
+    return np.eye(p.n) * ((p.const / p.scale) / p.n) + 0.5 * (p.mu / p.scale)
 
 
 def check_eigen_bounds(s: Scheme, mode: str = "auto") -> Verdict:
@@ -238,10 +219,10 @@ def check_eigen_bounds(s: Scheme, mode: str = "auto") -> Verdict:
 
     eigs = np.linalg.eigvalsh(_rayleigh_matrix(p))
     e_min, e_max = float(eigs[0]), float(eigs[-1])
-    lam, nu_idx, nu_val = _cubic_arrays(p)
+    lam, nu_val = p.lam / p.scale, p.nu_val / p.scale
 
     if mode == "exact":
-        _, _, max_a, max_code = kernels.cubic_form_scan(s.n, lam, nu_idx, nu_val)
+        _, _, max_a, max_code = kernels.cubic_form_scan(s.n, lam, p.nu_idx, nu_val)
         if s.n * e_min - max_a > EPS:
             return Verdict.unsat(e_min=e_min, e_max=e_max, max_form=max_a)
         if s.n * e_max - max_a < 1.0 - EPS:
@@ -253,15 +234,15 @@ def check_eigen_bounds(s: Scheme, mode: str = "auto") -> Verdict:
     abs_mass = float(np.abs(lam).sum() + np.abs(nu_val).sum())
     if s.n * e_min - abs_mass > EPS:
         return Verdict.unsat(e_min=e_min, e_max=e_max, abs_mass=abs_mass)
-    witness = _greedy_descent(s)
+    witness = _greedy_descent(s, p)
     if witness is not None:
         return Verdict.sat(e_min=e_min, e_max=e_max, witness=witness)
     return Verdict.inconclusive(e_min=e_min, e_max=e_max, abs_mass=abs_mass)
 
 
-def _greedy_descent(s: Scheme, max_passes: int = 4) -> tuple[int, ...] | None:
-    """Coordinate descent on the violated-clause count; a model or None."""
-    x = [1 if float(v) >= 0 else -1 for v in pb_coefficients(s, "canonical").lam]
+def _greedy_descent(s: Scheme, p: PBForm, max_passes: int = 4) -> tuple[int, ...] | None:
+    """Coordinate descent on the violated-clause count from the signs of lam; a model or None."""
+    x = [1 if v >= 0 else -1 for v in p.lam.tolist()]
     best = unsat_count_direct(s, x)
     for _ in range(max_passes):
         improved = False

@@ -125,6 +125,9 @@ def _parse_order(text: str | None, n: int) -> list[int] | None:
 
 # --- transform pipeline ------------------------------------------------------
 
+_TRUTH = {"true": True, "t": True, "1": True, "false": False, "f": False, "0": False}
+
+
 def _apply_op(s: Scheme, spec: str) -> tuple[Scheme, dict]:
     name, _, argtext = spec.partition(":")
     name = name.strip().lower()
@@ -138,8 +141,11 @@ def _apply_op(s: Scheme, spec: str) -> tuple[Scheme, dict]:
     if name == "flip":
         return transforms.flip(s, [var(t) for t in argtext.split(",")]), entry
     if name == "blow_up":
-        row, _, col = argtext.partition(",")
-        return transforms.blow_up(s, _index(row, s.m, "row", spec), var(col)), entry
+        row_text, _, col_text = argtext.partition(",")
+        row, col = _index(row_text, s.m, "row", spec), var(col_text)
+        if s.cells[row, col] != 0:
+            raise SchemeParseError(f"cell ({row + 1}, {col + 1}) is not absent; cannot blow up")
+        return transforms.blow_up(s, row, col), entry
     if name == "shrink":
         return transforms.shrink(s), entry
     if name == "drop_subsumed":
@@ -154,7 +160,9 @@ def _apply_op(s: Scheme, spec: str) -> tuple[Scheme, dict]:
         return out, entry
     if name == "assign":
         var_text, _, val_text = argtext.partition("=")
-        value = val_text.strip().lower() in ("true", "1", "t")
+        value = _TRUTH.get(val_text.strip().lower())
+        if value is None:
+            raise SchemeParseError(f"bad value {val_text.strip()!r} in {spec!r}")
         return transforms.assign(s, var(var_text), value), entry
     if name == "resolve":
         out, conclusive = transforms.resolve(s, var(argtext))

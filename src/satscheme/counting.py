@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import Dyadic
+from .pseudo_boolean import clause_mass
 from .scheme_core import Scheme, orthogonal
 from .transforms import FULL_BLOW_UP_LIMIT
 
@@ -134,7 +135,4 @@ def solution_lower_bound(s: Scheme) -> Dyadic | float:
     """
     if s.has_empty_row():
         return float("-inf")
-    mass = Dyadic(0)
-    for i in range(s.m):
-        mass = mass + Dyadic.half_pow(s.row_size(i))
-    return Dyadic(1 << s.n) * (Dyadic(1) - mass)
+    return Dyadic(1 << s.n) * (Dyadic(1) - clause_mass(s))

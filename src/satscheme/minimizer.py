@@ -10,6 +10,11 @@ intermediate u is again the u of a formula.
 The coefficient-mass shortcut proves some subtrees can never reach u = 0;
 those subtrees skip the case analysis and are finished by the fast
 assignment-scan kernel instead, keeping the reported minimum exact.
+
+Each node reads the integer-scaled form of `pb_coefficients` directly:
+S_v is tabulated as int64 over its support and the search compares plain
+integer counts.  `Dyadic` appears only in the returned `SFactor` and
+`MinimizeOutcome`.
 """
 
 from __future__ import annotations
@@ -69,84 +74,55 @@ class SFactor:
         return "iii"
 
 
-def _s_terms(p: PBForm, var: int):
-    """(constant, pair terms, triple terms) of S_var."""
-    const = -p.lam[var]
-    pairs = []
-    for (i, j), v in p.mu.items():
-        if i == var:
-            pairs.append((j, v))
-        elif j == var:
-            pairs.append((i, v))
-    triples = []
-    for (i, j, k), v in p.nu.items():
-        if var == i:
-            triples.append((j, k, -v))
-        elif var == j:
-            triples.append((i, k, -v))
-        elif var == k:
-            triples.append((i, j, -v))
-    return const, pairs, triples
+def _s_table(p: PBForm, var: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support, scaled values) of S_var over every +-1 assignment of its support.
 
-
-def _s_extrema(p: PBForm, var: int) -> tuple[Dyadic, Dyadic]:
-    """Exact min and max of S_var over all sign assignments of its support."""
-    const, pairs, triples = _s_terms(p, var)
-    support = sorted(
-        {j for j, _ in pairs} | {j for t in triples for j in t[:2]}
-    )
-    if not support:
-        return const, const
+    S_var(y) = -lam_var + sum_j mu_var,j y_j - sum nu_var,j,k y_j y_k; value
+    `code` has bit b set when support[b] is +1.  Exact int64 at p's scale.
+    """
+    tri = (p.nu_idx == var).any(axis=1)
+    pairs = p.nu_idx[tri][p.nu_idx[tri] != var].reshape(-1, 2)
+    in_support = p.mu[var] != 0
+    in_support[pairs] = True
+    support = np.flatnonzero(in_support)
     if len(support) > SUPPORT_LIMIT:
         raise ValueError(f"S-factor support {len(support)} exceeds limit {SUPPORT_LIMIT}")
-    e = p.scale_exp
-    pos = {j: b for b, j in enumerate(support)}
     codes = np.arange(1 << len(support), dtype=np.int64)
-    X = (((codes[:, None] >> np.arange(len(support))[None, :]) & 1) * 2 - 1).astype(np.int64)
-    vals = np.full(len(codes), const.scaled(e), dtype=np.int64)
-    for j, v in pairs:
-        vals += v.scaled(e) * X[:, pos[j]]
-    for i, j, v in triples:
-        vals += v.scaled(e) * X[:, pos[i]] * X[:, pos[j]]
-    return Dyadic(int(vals.min()), e), Dyadic(int(vals.max()), e)
+    Y = ((codes[:, None] >> np.arange(len(support))) & 1) * 2 - 1
+    pos = np.searchsorted(support, pairs)
+    vals = Y @ p.mu[var, support] - (Y[:, pos[:, 0]] * Y[:, pos[:, 1]]) @ p.nu_val[tri]
+    return support, vals - p.lam[var]
 
 
 def s_factor(s: Scheme, var: int) -> SFactor:
     """Swing factor of `var` with canonical weights, tabulated over its support.
 
-    Cross-checks the defining identity u(+1, y) - u(-1, y) = 2 S(y) at one
-    sampled y before returning; a mismatch is an internal error.
+    S is tabulated as integers at the form's scale and returned as `Dyadic`
+    values.  Cross-checks the defining identity u(+1, y) - u(-1, y) = 2 S(y)
+    at y = all-ones before returning; a mismatch is an internal error.
     """
     if not (0 <= var < s.n):
         raise IndexError(f"column {var} out of range (n={s.n})")
     p = pb_coefficients(s, "canonical")
-    const, pairs, triples = _s_terms(p, var)
-    support = tuple(sorted({j for j, _ in pairs} | {j for t in triples for j in t[:2]}))
-    if len(support) > SUPPORT_LIMIT:
-        raise ValueError(f"S-factor support {len(support)} exceeds limit {SUPPORT_LIMIT}")
-    pos = {j: b for b, j in enumerate(support)}
-    table: dict[tuple[int, ...], Dyadic] = {}
-    s_min = s_max = None
-    for code in range(1 << len(support)):
-        y = kernels.decode_assignment(code, len(support))
-        val = const
-        for j, v in pairs:
-            val = val + v * y[pos[j]]
-        for i, j, v in triples:
-            val = val + v * (y[pos[i]] * y[pos[j]])
-        table[y] = val
-        if s_min is None or val < s_min:
-            s_min = val
-        if s_max is None or s_max < val:
-            s_max = val
+    support, vals = _s_table(p, var)
+    e = p.scale_exp
+    table = {
+        kernels.decode_assignment(code, len(support)): Dyadic(v, e)
+        for code, v in enumerate(vals.tolist())
+    }
 
-    sampled = (1,) * s.n
-    x_minus = tuple(-1 if j == var else v for j, v in enumerate(sampled))
-    lhs = eval_u(p, sampled) - eval_u(p, x_minus)
-    rhs = Dyadic(2) * table[(1,) * len(support)]
-    if lhs != rhs:
-        raise RuntimeError(f"swing-factor identity violated: {lhs} != {rhs}")
-    return SFactor(var=var, support=support, table=table, s_min=s_min, s_max=s_max)
+    x = np.ones((2, s.n), dtype=np.int64)
+    x[1, var] = -1
+    u_plus, u_minus = p.values(x).tolist()
+    if u_plus - u_minus != 2 * vals[-1]:
+        raise RuntimeError(f"swing-factor identity violated at scale {p.scale}")
+    return SFactor(
+        var=var,
+        support=tuple(support.tolist()),
+        table=table,
+        s_min=Dyadic(int(vals.min()), e),
+        s_max=Dyadic(int(vals.max()), e),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,11 +153,12 @@ class _Search:
         self.events: list[dict] = []
 
     def run(self, cur: Scheme, col_ids: list[int], order: list[int]):
+        """(least violated-clause count, fixed values, trace) below `cur`."""
         if cur.m == 0:
-            return ZERO, {}, []
+            return 0, {}, []
         if not col_ids:
             # only empty clauses can remain; each contributes exactly 1
-            return Dyadic(cur.m), {}, []
+            return cur.m, {}, []
         p = pb_coefficients(cur, "canonical")
         if self.shortcut:
             verdict = check_coefficient_bound(p)
@@ -189,7 +166,7 @@ class _Search:
                 self.shortcut_hits += 1
                 self.events.append(
                     {
-                        "constant": p.const,
+                        "constant": verdict.evidence["constant"],
                         "mass": verdict.evidence["mass"],
                         "scale": p.scale,
                         "vars_left": len(col_ids),
@@ -198,16 +175,16 @@ class _Search:
                 _, u_min, min_code, _, _ = kernels.assignment_scan(cur.cells)
                 values = kernels.decode_assignment(int(min_code), cur.n)
                 fixed = {col_ids[j]: values[j] for j in range(cur.n)}
-                return Dyadic(int(u_min)), fixed, [
+                return int(u_min), fixed, [
                     {"case": "shortcut-scan", "vars_left": len(col_ids)}
                 ]
 
         var = next(v for v in order if v in col_ids)
         local = col_ids.index(var)
-        s_min, s_max = _s_extrema(p, local)
-        if not (s_min < ZERO):
+        _, vals = _s_table(p, local)
+        if vals.min() >= 0:
             case, choices = "i", (-1,)
-        elif not (ZERO < s_max):
+        elif vals.max() <= 0:
             case, choices = "ii", (1,)
         else:
             case, choices = "iii", (-1, 1)
@@ -226,7 +203,7 @@ class _Search:
             cand = (u_val, {var: value, **fixed}, [{"var": var, "case": case, "value": value}] + trace)
             if best is None or cand[0] < best[0]:
                 best = cand
-            if not (ZERO < best[0]):
+            if best[0] == 0:
                 break  # zero is a global lower bound; nothing can beat it
         return best
 
@@ -265,11 +242,11 @@ def minimize_u(
     if eval_u(p, minimizer) != u_min:
         raise RuntimeError("internal error: minimizer does not attain the reported minimum")
     return MinimizeOutcome(
-        u_min=u_min,
+        u_min=Dyadic(u_min),
         minimizer=minimizer,
         branch_count=search.branch_count,
         shortcut_hits=search.shortcut_hits,
-        satisfiable=(u_min == ZERO),
+        satisfiable=(u_min == 0),
         trace=tuple(trace),
         shortcut_events=tuple(search.events),
     )

@@ -12,7 +12,11 @@ multilinear polynomial
     u(x) = C - sum_j lam_j x_j + sum_{i<j} mu_ij x_i x_j
              - sum_{i<j<k} nu_ijk x_i x_j x_k
 
-whose coefficients are exact dyadic rationals computed here.
+whose coefficients are dyadic rationals.  All weights share one
+denominator 2**e, so every coefficient is held here as the exact integer
+it becomes at the scale 2**e, and u(x) * 2**e is integer arithmetic.
+`Dyadic` appears only where values leave the module (`eval_u`, and the
+weights a caller passes in).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .scheme_core import Scheme, as_assignment
 
 __all__ = [
@@ -33,6 +37,7 @@ __all__ = [
     "PBForm",
     "pb_coefficients",
     "resolve_weights",
+    "clause_mass",
     "polarity_damped_weights",
     "eval_u",
     "unsat_count_direct",
@@ -52,21 +57,24 @@ class ExtensionStrategy(enum.Enum):
     EXHAUSTIVE = "exhaustive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PBForm:
-    """Cubic multilinear expansion of u(x).
+    """Cubic multilinear expansion of u(x) at the common scale 2**scale_exp.
 
-    `lam` has one entry per variable; `mu`/`nu` are sparse with strictly
-    increasing index tuples and no zero values.  `scale_exp` is the weight
-    denominator exponent: multiplying every coefficient by 2**scale_exp
-    yields integers (the form the serializer prints).
+    Every coefficient is stored as an integer equal to the exact value
+    times `scale`, the numbers `serialize_polynomial` prints: `const` is a
+    Python int, `lam` an int64 vector (n,), `mu` an int64 (n, n) matrix,
+    symmetric with a zero diagonal, and the cubic terms are the rows of
+    `nu_idx` (int64 (t, 3), strictly increasing, in lexicographic order)
+    with nonzero values `nu_val` (int64 (t,)).
     """
 
     n: int
-    const: Dyadic
-    lam: tuple[Dyadic, ...]
-    mu: dict[tuple[int, int], Dyadic]
-    nu: dict[tuple[int, int, int], Dyadic]
+    const: int
+    lam: np.ndarray
+    mu: np.ndarray
+    nu_idx: np.ndarray
+    nu_val: np.ndarray
     scale_exp: int
     weight_kind: str
 
@@ -74,40 +82,68 @@ class PBForm:
     def scale(self) -> int:
         return 1 << self.scale_exp
 
-    def coefficient_mass(self) -> Dyadic:
-        """sum |lam| + sum |mu| + sum |nu| (the largest swing of u - C)."""
-        total = ZERO
-        for v in self.lam:
-            total = total + abs(v)
-        for v in self.mu.values():
-            total = total + abs(v)
-        for v in self.nu.values():
-            total = total + abs(v)
-        return total
+    def coefficient_mass(self) -> int:
+        """Scaled sum |lam| + sum |mu| + sum |nu| (the largest swing of u - C)."""
+        return int(np.abs(self.lam).sum() + np.abs(self.mu).sum() // 2 + np.abs(self.nu_val).sum())
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Scaled u at each row of a +-1 matrix, exact int64."""
+        X = np.asarray(X, dtype=np.int64)
+        vals = self.const - X @ self.lam + ((X @ self.mu) * X).sum(axis=1) // 2
+        if len(self.nu_val):
+            vals -= X[:, self.nu_idx].prod(axis=2) @ self.nu_val
+        return vals
 
 
-def resolve_weights(s: Scheme, weights: str | Sequence[Dyadic] = "canonical") -> tuple[list[Dyadic], str]:
-    """Per-clause positive weights from a scheme and a weight spec.
+def resolve_weights(
+    s: Scheme, weights: str | Sequence[Dyadic] = "canonical"
+) -> tuple[np.ndarray, int, str]:
+    """Per-clause positive weights as (int64 w, e, kind): weight i is w[i] / 2**e.
 
     'canonical' gives 2**-k_i, 'unit' gives 1; any sequence of positive
-    dyadics (length m) is accepted as custom weights.
+    dyadics (length m) is accepted as custom weights.  The scaled total
+    must stay below 2**53: every value and partial sum of u is then below
+    16 * sum(w), so int64 cannot overflow and float64 copies are exact.
     """
     if isinstance(weights, str):
         kind = weights.lower()
         if kind == "canonical":
-            return [Dyadic.half_pow(s.row_size(i)) for i in range(s.m)], "canonical"
-        if kind == "unit":
-            return [Dyadic(1) for _ in range(s.m)], "unit"
-        raise ValueError(f"unknown weight scheme {weights!r}")
-    vals = list(weights)
-    if len(vals) != s.m:
-        raise ValueError(f"need {s.m} weights, got {len(vals)}")
-    for i, w in enumerate(vals):
-        if not isinstance(w, Dyadic):
-            raise TypeError(f"weight {i + 1} is not a Dyadic")
-        if not (Dyadic(0) < w):
-            raise ValueError(f"weight {i + 1} must be strictly positive, got {w}")
-    return vals, "custom"
+            sizes = np.count_nonzero(s.cells, axis=1).tolist()
+            e = max(sizes, default=0)
+            scaled = [1 << (e - k) for k in sizes]
+        elif kind == "unit":
+            e, scaled = 0, [1] * s.m
+        else:
+            raise ValueError(f"unknown weight scheme {weights!r}")
+    else:
+        kind = "custom"
+        vals = list(weights)
+        if len(vals) != s.m:
+            raise ValueError(f"need {s.m} weights, got {len(vals)}")
+        for i, w in enumerate(vals):
+            if not isinstance(w, Dyadic):
+                raise TypeError(f"weight {i + 1} is not a Dyadic")
+            if not (Dyadic(0) < w):
+                raise ValueError(f"weight {i + 1} must be strictly positive, got {w}")
+        e = max((w.exp for w in vals), default=0)
+        scaled = [w.scaled(e) for w in vals]
+    if sum(scaled) >= 1 << 53:
+        raise ValueError(
+            f"weights scaled by 2**{e} sum to 2**53 or more; the integer "
+            f"coefficients would not stay exact"
+        )
+    return np.array(scaled, dtype=np.int64), e, kind
+
+
+def clause_mass(s: Scheme) -> Dyadic:
+    """Exact sum over clauses of 2**-k_i, the total of the canonical weights.
+
+    Clauses of equal width share one shift, so the sum runs over widths and
+    holds for clauses of any width.
+    """
+    counts = np.bincount(np.count_nonzero(s.cells, axis=1), minlength=1).tolist()
+    e = len(counts) - 1
+    return Dyadic(sum(c << (e - k) for k, c in enumerate(counts)), e)
 
 
 def polarity_damped_weights(s: Scheme) -> list[Dyadic]:
@@ -116,53 +152,51 @@ def polarity_damped_weights(s: Scheme) -> list[Dyadic]:
     Damps clauses whose literals lean heavily one way; any strictly positive
     weights preserve the u(x)=0-iff-model property.
     """
-    out = []
-    for i in range(s.m):
-        net = int(s.cells[i].astype(np.int64).sum())
-        out.append(Dyadic.half_pow(s.row_size(i) + abs(net)))
-    return out
+    cells = s.cells.astype(np.int64)
+    exps = np.count_nonzero(cells, axis=1) + np.abs(cells.sum(axis=1))
+    return [Dyadic.half_pow(k) for k in exps.tolist()]
 
 
 def pb_coefficients(s: Scheme, weights: str | Sequence[Dyadic] = "canonical") -> PBForm:
     """Exact expansion coefficients of u(x); requires at most 3 literals per clause.
 
-    Clauses with four or more literals have quartic terms the expansion does
-    not carry; convert the formula to 3-SAT first.
+    With w the scaled weights, lam = F^T w, mu = F^T diag(w) F off the
+    diagonal, and each 3-literal clause adds w_i times its product of fills
+    to the triple on its support.  Clauses with four or more literals have
+    quartic terms the expansion does not carry; convert the formula to
+    3-SAT first.
     """
-    wvals, kind = resolve_weights(s, weights)
-    lam = [ZERO] * s.n
-    mu: dict[tuple[int, int], Dyadic] = {}
-    nu: dict[tuple[int, int, int], Dyadic] = {}
-    const = ZERO
-    for i in range(s.m):
-        sup = s.row_support(i)
-        if len(sup) > 3:
-            raise ValueError(
-                f"clause {i + 1} has {len(sup)} literals; the cubic expansion "
-                f"needs 3-SAT input (reduce the formula first)"
-            )
-        a = wvals[i]
-        const = const + a
-        fills = [int(s.cells[i, j]) for j in sup]
-        for j, f in zip(sup, fills):
-            lam[j] = lam[j] + a * f
-        for (j1, f1), (j2, f2) in itertools.combinations(zip(sup, fills), 2):
-            key = (j1, j2)
-            mu[key] = mu.get(key, ZERO) + a * (f1 * f2)
-        if len(sup) == 3:
-            key3 = (sup[0], sup[1], sup[2])
-            prod = fills[0] * fills[1] * fills[2]
-            nu[key3] = nu.get(key3, ZERO) + a * prod
-    mu = {k: v for k, v in mu.items() if v}
-    nu = {k: v for k, v in nu.items() if v}
-    scale_exp = max((w.exp for w in wvals), default=0)
+    F = s.cells.astype(np.int64)
+    sizes = np.count_nonzero(F, axis=1)
+    wide = np.flatnonzero(sizes > 3)
+    if len(wide):
+        i = int(wide[0])
+        raise ValueError(
+            f"clause {i + 1} has {sizes[i]} literals; the cubic expansion "
+            f"needs 3-SAT input (reduce the formula first)"
+        )
+    w, e, kind = resolve_weights(s, weights)
+    mu = (F.T * w) @ F
+    np.fill_diagonal(mu, 0)
+    # a triple support (i, j, k) is keyed by its base-n digits, so the keys
+    # sort in lexicographic order of the triples
+    tri = sizes == 3
+    F3 = F[tri]
+    rows, cols = np.nonzero(F3)
+    digits = np.array([s.n * s.n, s.n, 1])
+    keys, inv = np.unique(cols.reshape(-1, 3) @ digits, return_inverse=True)
+    nu_val = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(nu_val, inv, w[tri] * F3[rows, cols].reshape(-1, 3).prod(axis=1))
+    keep = nu_val != 0
+    nu_idx = keys[keep, None] // digits % s.n
     return PBForm(
         n=s.n,
-        const=const,
-        lam=tuple(lam),
+        const=int(w.sum()),
+        lam=F.T @ w,
         mu=mu,
-        nu=nu,
-        scale_exp=scale_exp,
+        nu_idx=nu_idx,
+        nu_val=nu_val[keep],
+        scale_exp=e,
         weight_kind=kind,
     )
 
@@ -170,15 +204,7 @@ def pb_coefficients(s: Scheme, weights: str | Sequence[Dyadic] = "canonical") ->
 def eval_u(p: PBForm, x: Sequence[int]) -> Dyadic:
     """Exact value of u at a sign vector."""
     xs = as_assignment(x, p.n)
-    total = p.const
-    for j, v in enumerate(p.lam):
-        if v:
-            total = total - v * xs[j]
-    for (i, j), v in p.mu.items():
-        total = total + v * (xs[i] * xs[j])
-    for (i, j, k), v in p.nu.items():
-        total = total - v * (xs[i] * xs[j] * xs[k])
-    return total
+    return Dyadic(int(p.values(np.array([xs], dtype=np.int64))[0]), p.scale_exp)
 
 
 def unsat_count_direct(s: Scheme, x: Sequence[int]) -> int:
@@ -250,43 +276,47 @@ def extend(s: Scheme, strategy: ExtensionStrategy | str = ExtensionStrategy.FLIP
     return Scheme(np.array(rows, dtype=np.int8))
 
 
+def _terms(p: PBForm) -> list[tuple[tuple[int, ...], int]]:
+    """(1-based variables, stored coefficient) of every nonzero lam, mu, nu term.
+
+    Python ints, in linear, pair, triple order with indices ascending; the
+    sign of a term in u is (-1)**degree times the value.
+    """
+    i, j = np.nonzero(np.triu(p.mu))
+    return (
+        [((v + 1,), c) for v, c in enumerate(p.lam.tolist()) if c]
+        + list(zip(zip((i + 1).tolist(), (j + 1).tolist()), p.mu[i, j].tolist()))
+        + list(zip(map(tuple, (p.nu_idx + 1).tolist()), p.nu_val.tolist()))
+    )
+
+
 def serialize_polynomial(p: PBForm) -> str:
     """Paper-style single line with 2**scale_exp-scaled integer coefficients.
 
     Example: `8u = 12 + x1 - 2x2 + 2x3 - 3x4 - x1x2 + ...` with terms in
     constant, linear, pair, triple order and indices ascending.
     """
-    e = p.scale_exp
-    terms: list[tuple[int, str]] = []
-    for j, v in enumerate(p.lam):
-        if v:
-            terms.append(((-v).scaled(e), f"x{j + 1}"))
-    for (i, j) in sorted(p.mu):
-        terms.append((p.mu[(i, j)].scaled(e), f"x{i + 1}x{j + 1}"))
-    for (i, j, k) in sorted(p.nu):
-        terms.append(((-p.nu[(i, j, k)]).scaled(e), f"x{i + 1}x{j + 1}x{k + 1}"))
-
-    head = f"{p.scale}u = " if e else "u = "
-    parts = [head + str(p.const.scaled(e))]
-    for coef, vars_ in terms:
+    head = f"{p.scale}u = " if p.scale_exp else "u = "
+    parts = [head + str(p.const)]
+    for idx, value in _terms(p):
+        coef = -value if len(idx) % 2 else value
         sign = "+" if coef > 0 else "-"
         mag = abs(coef)
+        vars_ = "".join(f"x{v}" for v in idx)
         parts.append(f" {sign} {vars_}" if mag == 1 else f" {sign} {mag}{vars_}")
     return "".join(parts)
 
 
 def to_json_dict(p: PBForm) -> dict:
     """JSON-ready {scale, C, lambda, mu, nu} with scaled integer coefficients."""
-    e = p.scale_exp
+    terms = _terms(p)
     return {
         "scale": p.scale,
         "weights": p.weight_kind,
-        "C": p.const.scaled(e),
-        "lambda": [v.scaled(e) for v in p.lam],
-        "mu": {f"{i + 1},{j + 1}": v.scaled(e) for (i, j), v in sorted(p.mu.items())},
-        "nu": {
-            f"{i + 1},{j + 1},{k + 1}": v.scaled(e) for (i, j, k), v in sorted(p.nu.items())
-        },
+        "C": p.const,
+        "lambda": p.lam.tolist(),
+        "mu": {",".join(map(str, idx)): c for idx, c in terms if len(idx) == 2},
+        "nu": {",".join(map(str, idx)): c for idx, c in terms if len(idx) == 3},
         "polynomial": serialize_polynomial(p),
     }
 
@@ -298,18 +328,6 @@ def scaled_profile(p: PBForm, limit: int = 20) -> tuple[int, np.ndarray]:
     """
     if p.n > limit:
         raise ValueError(f"n={p.n} exceeds profile limit {limit}")
-    e = p.scale_exp
-    total = 1 << p.n
-    codes = np.arange(total, dtype=np.int64)
-    X = (((codes[:, None] >> np.arange(p.n, dtype=np.int64)[None, :]) & 1) * 2 - 1).astype(
-        np.int64
-    )
-    vals = np.full(total, p.const.scaled(e), dtype=np.int64)
-    for j, v in enumerate(p.lam):
-        if v:
-            vals -= v.scaled(e) * X[:, j]
-    for (i, j), v in p.mu.items():
-        vals += v.scaled(e) * X[:, i] * X[:, j]
-    for (i, j, k), v in p.nu.items():
-        vals -= v.scaled(e) * X[:, i] * X[:, j] * X[:, k]
-    return p.scale, vals
+    codes = np.arange(1 << p.n, dtype=np.int64)
+    X = ((codes[:, None] >> np.arange(p.n, dtype=np.int64)[None, :]) & 1) * 2 - 1
+    return p.scale, p.values(X)

@@ -164,11 +164,9 @@ def test_rayleigh_sandwich():
     for _ in range(40):
         s = random_scheme(rng, n_min=2, n_max=8, m_min=1, m_max=10)
         p = pb_coefficients(s)
-        mat = np.zeros((s.n, s.n))
+        mat = 0.5 * p.mu / p.scale
         for j in range(s.n):
-            mat[j, j] = float(p.const) / s.n
-        for (i, j), v in p.mu.items():
-            mat[i, j] = mat[j, i] = 0.5 * float(v)
+            mat[j, j] = p.const / p.scale / s.n
         eigs = jacobi_eigenvalues(mat)
         e_min, e_max = eigs[0], eigs[-1]
         codes = np.arange(1 << s.n, dtype=np.int64)

@@ -154,6 +154,9 @@ def test_error_exit_code(capsys, tmp_path):
         ("blow_up:1,9", "variable 9 out of range (n=4)"),
         ("resolve:x", "bad variable 'x' in 'resolve:x'"),
         ("blow_up:1", "bad variable '' in 'blow_up:1'"),
+        ("blow_up:1,1", "cell (1, 1) is not absent; cannot blow up"),
+        ("assign:2=maybe", "bad value 'maybe' in 'assign:2=maybe'"),
+        ("assign:2", "bad value '' in 'assign:2'"),
     ],
 )
 def test_transform_index_out_of_range(capsys, tmp_path, op, message):

@@ -48,22 +48,22 @@ def test_f4_solutions_have_zero_u(f4):
 
 def test_gext_polynomial(gext):
     p = pb_coefficients(gext)
-    assert p.nu == {}
+    assert len(p.nu_val) == 0
     assert serialize_polynomial(p) == GEXT_POLY
 
 
 def test_empty_scheme_coefficients():
     p = pb_coefficients(Scheme.empty(3))
-    assert p.const == Dyadic(0)
-    assert all(v == Dyadic(0) for v in p.lam)
-    assert p.mu == {} and p.nu == {}
+    assert p.const == 0
+    assert not p.lam.any()
+    assert not p.mu.any() and len(p.nu_val) == 0
     assert serialize_polynomial(p) == "u = 0"
 
 
 def test_unit_weights_polynomial(f5):
     p = pb_coefficients(f5, "unit")
     assert p.scale == 1
-    assert p.const == Dyadic(5)
+    assert p.const == 5
     assert serialize_polynomial(p).startswith("u = 5")
 
 
@@ -87,10 +87,10 @@ def test_weight_validation(f5):
     with pytest.raises(ValueError):
         resolve_weights(f5, [Dyadic(0)] + [Dyadic(1)] * 4)
     damped = polarity_damped_weights(f5)
-    vals, kind = resolve_weights(f5, damped)
+    vals, e, kind = resolve_weights(f5, damped)
     assert kind == "custom"
     # clause 3 has two negated literals: weight 2**-2 * 2**-2
-    assert vals[2] == Dyadic.half_pow(4)
+    assert vals[2] == 1 << (e - 4)
 
 
 def test_to_json_dict(f5):
@@ -101,6 +101,64 @@ def test_to_json_dict(f5):
     assert d["mu"]["1,2"] == -1
     assert d["nu"]["2,3,4"] == 1
     assert d["polynomial"] == F5_POLY
+
+
+def test_cancelled_pair_term_is_zero_and_not_printed():
+    # (x1 or x2) and (x1 or not x2): the two x1x2 contributions cancel
+    p = pb_coefficients(Scheme.from_rows([[1, 1], [1, -1]]))
+    assert p.mu.shape == (2, 2) and p.mu[0, 1] == 0
+    assert serialize_polynomial(p) == "4u = 2 - 2x1"
+    d = to_json_dict(p)
+    assert d["mu"] == {} and d["lambda"] == [2, 0]
+
+
+def test_terms_in_lexicographic_order():
+    # triples (1,3,4) and (1,2,5): ordering by the last index would swap them
+    p = pb_coefficients(Scheme.from_rows([[1, 0, 1, 1, 0], [1, 1, 0, 0, 1], [0, 1, -1, 0, 0]]))
+    assert p.nu_idx.tolist() == [[0, 1, 4], [0, 2, 3]]
+    assert serialize_polynomial(p) == (
+        "8u = 4 - 2x1 - 3x2 + x3 - x4 - x5 + x1x2 + x1x3 + x1x4 + x1x5"
+        " - 2x2x3 + x2x5 + x3x4 - x1x2x5 - x1x3x4"
+    )
+
+
+def test_json_coefficients_are_python_ints(f5):
+    d = to_json_dict(pb_coefficients(f5))
+    values = [d["scale"], d["C"], *d["lambda"], *d["mu"].values(), *d["nu"].values()]
+    assert all(type(v) is int for v in values)
+
+
+def test_custom_weights_too_spread_for_int64_rejected(f5):
+    weights = [Dyadic(1, 60)] + [Dyadic(1)] * (f5.m - 1)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        pb_coefficients(f5, weights)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "unit", "damped", "custom"])
+def test_scaled_profile_is_weighted_violation_sum(kind):
+    # scale * u(x) == sum_i (scaled w_i) * 2**k_i * [clause i violated at x]
+    rng = random.Random(97)
+    for _ in range(40):
+        s = random_scheme(rng, n_max=7, m_max=10, empty_row_prob=0.1)
+        sizes = [s.row_size(i) for i in range(s.m)]
+        if kind == "canonical":
+            spec, dyadics = kind, [Dyadic.half_pow(k) for k in sizes]
+        elif kind == "unit":
+            spec, dyadics = kind, [Dyadic(1)] * s.m
+        elif kind == "damped":
+            spec = dyadics = polarity_damped_weights(s)
+        else:
+            spec = dyadics = [Dyadic(rng.randint(1, 9), rng.randint(0, 5)) for _ in range(s.m)]
+        p = pb_coefficients(s, spec)
+        e = max((w.exp for w in dyadics), default=0)
+        assert p.scale_exp == e
+        scale, vals = scaled_profile(p)
+        codes = np.arange(1 << s.n)
+        X = ((codes[:, None] >> np.arange(s.n)) & 1) * 2 - 1
+        violated = ~((s.cells[None] != 0) & (s.cells[None] == X[:, None])).any(axis=2)
+        per_clause = np.array([w.scaled(e) << k for w, k in zip(dyadics, sizes)], dtype=np.int64)
+        assert scale == 1 << e
+        assert np.array_equal(vals, violated.astype(np.int64) @ per_clause)
 
 
 def test_eval_u_equals_direct_count_exhaustive():
@@ -125,7 +183,7 @@ def test_u_sum_identity():
         s = random_scheme(rng, n_max=8, m_max=12, empty_row_prob=0.05)
         p = pb_coefficients(s)
         scale, vals = scaled_profile(p)
-        assert int(vals.sum()) == (1 << s.n) * p.const.scaled(p.scale_exp)
+        assert int(vals.sum()) == (1 << s.n) * p.const
 
 
 def test_zero_u_iff_satisfiable_for_any_positive_weights():
@@ -176,7 +234,7 @@ def test_extend_all_strategies_cancel_cubics_and_preserve_models():
         s = random_scheme(rng, n_max=6, m_max=8)
         for strat in strategies:
             ext = extend(s, strat)
-            assert pb_coefficients(ext).nu == {}
+            assert len(pb_coefficients(ext).nu_val) == 0
             report = oracle_scan(ext)
             if report.solutions:
                 for sol in report.solutions:
@@ -186,7 +244,7 @@ def test_extend_all_strategies_cancel_cubics_and_preserve_models():
 def test_extend_exhaustive_on_g(g, gext):
     ext = extend(g, ExtensionStrategy.EXHAUSTIVE)
     assert oracle_scan(ext).count > 0
-    assert pb_coefficients(ext).nu == {}
+    assert len(pb_coefficients(ext).nu_val) == 0
     # deterministic enumeration starts at all-flip-first, which is already
     # satisfiable here
     assert ext == gext
