@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, pt_solvers
 from .dyadic import Dyadic
-from .pseudo_boolean import PBForm, clause_mass, eval_u, pb_coefficients, unsat_count_direct
+from .pseudo_boolean import PBForm, clause_mass, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme, Status, status
 from .transforms import resolve
 
@@ -122,38 +122,22 @@ def check_coefficient_bound(p: PBForm) -> Verdict:
     return Verdict.inconclusive(**evidence)
 
 
-def _unit_u_all_true_direct(s: Scheme) -> int:
-    """Unit-weight u at all-true: sum of 2**k_i over clauses with no positive fill."""
-    total = 0
-    for i in range(s.m):
-        if not (s.cells[i] == 1).any():
-            total += 1 << s.row_size(i)
-    return total
-
-
 def check_parity(s: Scheme) -> Verdict:
     """Certify UNSAT when the unit-weight u at all-true is odd.
 
-    With all clause weights set to 1 every term of u is an integer and u
-    changes by an even amount under any single flip, so an odd value at
-    all-true propagates to every assignment.  Computed twice: from the
-    expansion coefficients (3-SAT inputs) and as the direct violated-clause
-    sum; disagreement is an internal error.  A violated k-literal clause
-    contributes 2**k, which is odd only for empty clauses, so this check
-    fires exactly when an odd number of empty clauses is present.
+    With all clause weights set to 1 a violated k-literal clause adds 2**k
+    to u, and u changes by an even amount under any single flip, so an odd
+    value at all-true propagates to every assignment.  The value at
+    all-true sums 2**k_i over the clauses with no positive fill; it is odd
+    exactly when an odd number of empty clauses is present.
     """
-    direct = _unit_u_all_true_direct(s)
-    if s.max_clause_size() <= 3:
-        p = pb_coefficients(s, "unit")
-        via_coeffs = eval_u(p, (1,) * s.n).as_int()
-        if via_coeffs != direct:
-            raise RuntimeError(
-                f"parity check disagreement: coefficients give {via_coeffs}, "
-                f"direct count gives {direct}"
-            )
-    if direct % 2 == 1:
-        return Verdict.unsat(u_all_true=direct)
-    return Verdict.inconclusive(u_all_true=direct)
+    sizes = np.count_nonzero(s.cells, axis=1)
+    violated = ~(s.cells == 1).any(axis=1)
+    counts = np.bincount(sizes[violated], minlength=1).tolist()
+    u_all_true = sum(c << k for k, c in enumerate(counts))
+    if u_all_true % 2 == 1:
+        return Verdict.unsat(u_all_true=u_all_true)
+    return Verdict.inconclusive(u_all_true=u_all_true)
 
 
 def jacobi_eigenvalues(mat: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int = 100) -> np.ndarray:
@@ -209,7 +193,11 @@ def check_eigen_bounds(s: Scheme, mode: str = "auto") -> Verdict:
     """
     if s.n < 1:
         return Verdict.inconclusive(reason="no variables")
-    p = pb_coefficients(s, "canonical")
+    return _eigen_verdict(s, pb_coefficients(s, "canonical"), mode)
+
+
+def _eigen_verdict(s: Scheme, p: PBForm, mode: str) -> Verdict:
+    """`check_eigen_bounds` on n >= 1 variables, reading the canonical form `p`."""
     if mode == "auto":
         mode = "exact" if s.n <= EXACT_EIGEN_LIMIT else "relaxed"
     if mode not in ("exact", "relaxed"):
@@ -261,57 +249,85 @@ def _greedy_descent(s: Scheme, p: PBForm, max_passes: int = 4) -> tuple[int, ...
     return tuple(x) if best == 0 else None
 
 
-def _dedupe_rows(s: Scheme) -> Scheme:
-    seen = set()
-    keep = []
-    for i in range(s.m):
-        key = s.cells[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    if len(keep) == s.m:
-        return s
-    return Scheme(s.cells[keep])
-
-
 def check_resolution_chain(
     s: Scheme,
     order: Sequence[int] | None = None,
     row_limit: int = RESOLUTION_ROW_LIMIT,
 ) -> Verdict:
-    """Eliminate variables by resolution and watch for a contradiction.
+    """Davis-Putnam variable elimination, complete within a clause budget.
 
-    Reaching a contradiction or empty clause certifies UNSAT; anything else
-    is inconclusive (resolution is one-way).  `order` lists original column
-    indices (any prefix of a permutation; default ascending, all).  Exact
-    duplicate clauses are dropped between steps and the chain gives up
-    (inconclusive) if the clause count outgrows `row_limit`.
+    Each step replaces the clauses on one variable by the non-tautological
+    resolvents of its positive and negative clauses (`resolve`), which keeps
+    the formula satisfiable iff the input is (Davis & Putnam, JACM 1960);
+    exact duplicate clauses are dropped between steps.  A contradiction or
+    empty clause certifies UNSAT.  Running out of clauses certifies SAT:
+    the eliminated variables are set in reverse order so that each one's
+    clauses hold, and the witness is re-checked by a direct violation count.
+
+    By default the next variable is the one minimising |P|*|N| - |P| - |N|,
+    with P and N its positive and negative clauses (the clause-growth rule
+    of bounded variable elimination, Een & Biere, SAT 2005; ties go to the
+    lowest index), until every variable is gone.  An explicit `order` lists
+    original column indices (any prefix of a permutation); clauses left
+    over the variables it does not name are inconclusive.  Before each step
+    the chain gives up (inconclusive) when |P|*|N| + |R|, which bounds the
+    next clause count, exceeds `row_limit`; nothing is built then.
     """
-    if order is None:
-        order = list(range(s.n))
-    else:
+    if order is not None:
         order = [int(v) for v in order]
         if len(set(order)) != len(order) or any(not 0 <= v < s.n for v in order):
             raise ValueError("resolution order must be distinct column indices")
+    steps = s.n if order is None else len(order)
     cur = s
     col_ids = list(range(s.n))
-    for step, var in enumerate(order):
+    eliminated = []  # (local column, original columns, clauses on it) per step
+    for step in range(steps + 1):
         st = status(cur)
         if st in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
             return Verdict.unsat(step=step, pattern=st.value)
-        idx = col_ids.index(var)
-        if not (cur.cells[:, idx] != 0).any():
-            cur = cur.delete_columns([idx])
+        if cur.m == 0:
+            witness = _back_substitute(s.n, eliminated)
+            if unsat_count_direct(s, witness) != 0:
+                raise RuntimeError("internal error: back-substituted witness is not a model")
+            return Verdict.sat(step=step, witness=witness)
+        if step == steps:
+            break
+        n_pos = (cur.cells == 1).sum(axis=0)
+        n_neg = (cur.cells == -1).sum(axis=0)
+        if order is None:
+            idx = int(np.argmin(n_pos * n_neg - n_pos - n_neg))
         else:
+            idx = col_ids.index(order[step])
+        pos, neg = int(n_pos[idx]), int(n_neg[idx])
+        if pos * neg + cur.m - pos - neg > row_limit:
+            return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}", final_rows=cur.m)
+        on_var = cur.cells[:, idx] != 0
+        eliminated.append((idx, np.array(col_ids), cur.cells[on_var]))
+        if on_var.any():
             cur, _ = resolve(cur, idx)
+            # asking for the indices keeps np.unique off a path that imports numpy.ma
+            rows, _ = np.unique(cur.cells, axis=0, return_index=True)
+            cur = Scheme(rows)
+        else:
+            cur = cur.delete_columns([idx])
         col_ids.pop(idx)
-        cur = _dedupe_rows(cur)
-        if cur.m > row_limit:
-            return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}")
-    st = status(cur)
-    if st in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
-        return Verdict.unsat(step=len(order), pattern=st.value)
     return Verdict.inconclusive(final_rows=cur.m)
+
+
+def _back_substitute(n: int, eliminated) -> tuple[int, ...]:
+    """A model from an elimination chain that ran out of clauses.
+
+    Going back through the steps, each variable becomes true exactly when
+    one of its positive clauses has no other true literal; the resolvents
+    guarantee no negative clause then needs it false.  Variables never
+    eliminated are set false.
+    """
+    x = np.full(n, -1, dtype=np.int8)
+    for idx, cols, clauses in reversed(eliminated):
+        others = np.delete(clauses, idx, axis=1) == x[np.delete(cols, idx)]
+        needy = clauses[~others.any(axis=1), idx]
+        x[cols[idx]] = 1 if (needy == 1).any() else -1
+    return tuple(x.tolist())
 
 
 def run_all(s: Scheme) -> CheckReport:
@@ -330,7 +346,7 @@ def run_all(s: Scheme) -> CheckReport:
         p = pb_coefficients(s, "canonical")
         checks["coefficient_bound"] = check_coefficient_bound(p)
         if s.n >= 1:
-            checks["eigen_bounds"] = check_eigen_bounds(s, mode="auto")
+            checks["eigen_bounds"] = _eigen_verdict(s, p, "auto")
         else:
             checks["eigen_bounds"] = Verdict.inconclusive(reason="no variables")
     else:

@@ -4,20 +4,28 @@ Expanding the product that evaluates a CNF over all assignments turns the
 model count into an alternating sum over clusters of clauses.  A cluster
 containing two clauses with opposite literals in some column (an orthogonal
 pair) contributes nothing, so only cliques of the pairwise-compatibility
-graph are enumerated:
+graph count:
 
     N(F) = 2**n * (1 + sum over non-orthogonal clusters c of (-1)^|c| 2**-k_c)
 
 with k_c the number of distinct variables occurring in the cluster.  Every
 term 2**(n - k_c) is an exact integer, handled with Python bignums.
+
+A non-orthogonal cluster is violated by exactly 2**(n - k_c) assignments
+and an orthogonal one by none, so the size-k terms also sum to
+sum_x C(u(x), k), with u(x) the number of clauses x violates.  Up to
+HISTOGRAM_N_LIMIT variables the partial sums are read from the histogram of
+u that one assignment scan gives; above it the cliques are enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
+from . import kernels
 from .dyadic import Dyadic
 from .pseudo_boolean import clause_mass
 from .scheme_core import Scheme, orthogonal
@@ -26,12 +34,15 @@ from .transforms import FULL_BLOW_UP_LIMIT
 __all__ = [
     "CountResult",
     "count_solutions",
+    "count_by_cliques",
     "count_via_primes",
     "solution_lower_bound",
     "DEFAULT_N_LIMIT",
+    "HISTOGRAM_N_LIMIT",
 ]
 
 DEFAULT_N_LIMIT = 63
+HISTOGRAM_N_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -40,8 +51,10 @@ class CountResult:
 
     `partials[k]` is the signed sum (-1)^k * sum 2**(n - k_c) over all
     clusters of size k; the size-0 entry is the base term 2**n, so the total
-    is simply the sum of all partials.  `cluster_count` counts the nonempty
-    clusters enumerated.
+    is simply the sum of all partials, and only sizes with some
+    non-orthogonal cluster have an entry.  `cluster_count` counts the
+    nonempty clusters enumerated: 0 when the partials come from the
+    violation histogram.
     """
 
     total: int
@@ -50,14 +63,35 @@ class CountResult:
 
 
 def count_solutions(s: Scheme, n_limit: int = DEFAULT_N_LIMIT) -> CountResult:
-    """Exact model count by depth-first clique enumeration.
+    """Exact model count by the cluster expansion.
 
-    Rows are compatible when not orthogonal; each clique is visited once by
-    extending only with higher row indices.  The n cap merely keeps the
-    2**n base term in check and may be raised freely (bignum arithmetic).
+    Up to HISTOGRAM_N_LIMIT variables one assignment scan gives hist[u],
+    the number of assignments violating exactly u clauses, and
+    partials[k] = (-1)^k * sum_u hist[u] * C(u, k) in exact integers;
+    cluster_count is then 0.  Above it the cliques are enumerated
+    (`count_by_cliques`).  The n cap merely keeps the 2**n base term in
+    check and may be raised freely (bignum arithmetic).
     """
     if s.n > n_limit:
         raise ValueError(f"count_solutions refuses n={s.n} > limit {n_limit}")
+    if s.n > HISTOGRAM_N_LIMIT:
+        return count_by_cliques(s)
+    _, _, _, hist, _ = kernels.assignment_scan(s.cells)
+    hist = {u: c for u, c in enumerate(hist.tolist()) if c}
+    partials = {
+        k: (-1) ** k * sum(c * comb(u, k) for u, c in hist.items() if u >= k)
+        for k in range(max(hist) + 1)
+    }
+    return CountResult(total=sum(partials.values()), partials=partials, cluster_count=0)
+
+
+def count_by_cliques(s: Scheme) -> CountResult:
+    """Exact model count by depth-first clique enumeration.
+
+    Rows are compatible when not orthogonal; each clique is visited once by
+    extending only with higher row indices.  The exact path above
+    HISTOGRAM_N_LIMIT variables, and the reference for the histogram path.
+    """
     m, n = s.m, s.n
     compat = [0] * m
     for i in range(m):

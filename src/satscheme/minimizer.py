@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .checks import VerdictKind, check_coefficient_bound
 from .dyadic import Dyadic, ZERO
-from .pseudo_boolean import PBForm, eval_u, pb_coefficients
+from .pseudo_boolean import PBForm, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme
 from .transforms import assign
 
@@ -238,8 +238,7 @@ def minimize_u(
     u_min, fixed, trace = search.run(s, list(range(s.n)), order)
     minimizer = tuple(fixed.get(j, -1) for j in range(s.n))
 
-    p = pb_coefficients(s, "canonical")
-    if eval_u(p, minimizer) != u_min:
+    if unsat_count_direct(s, minimizer) != u_min:
         raise RuntimeError("internal error: minimizer does not attain the reported minimum")
     return MinimizeOutcome(
         u_min=Dyadic(u_min),

@@ -3,8 +3,8 @@
 Solution-set preserving: blow_up/shrink, drop_subsumed, row/column
 permutation.  Model-count preserving (solutions change coordinates): flip.
 Satisfiability preserving: remove_pure_columns, assign, accept_facts, split,
-metavariable elimination, the READ-3 occurrence reduction, and (one-way, for
-unsatisfiability detection) resolve.
+resolve (both Davis-Putnam variable elimination), metavariable elimination
+and the READ-3 occurrence reduction.
 """
 
 from __future__ import annotations
@@ -243,44 +243,37 @@ def accept_facts(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
     return cur, trail
 
 
-def _disjoin(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Union of two rows' literals; None when they clash (tautology)."""
-    if (((a == 1) & (b == -1)) | ((a == -1) & (b == 1))).any():
-        return None
-    return np.where(a != 0, a, b).astype(np.int8)
+def _resolvents(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Disjunctions of every (y row, z row) pair, row-major, tautologies dropped.
+
+    A pair clashes (holds opposite fills in some column) exactly when the
+    product of its rows has a -1 somewhere.
+    """
+    clash = ((y[:, None] * z[None]) == -1).any(-1)
+    merged = np.where(y[:, None] != 0, y[:, None], z[None])
+    return merged[~clash]
 
 
 def resolve(s: Scheme, var: int) -> tuple[Scheme, bool]:
     """Replace all positive/negative clause pairs on `var` by their resolvents.
 
-    The column disappears.  With exactly one pair the replacement is an
-    equivalence (conclusive=True); with several pairs the result is still
-    sound for unsatisfiability detection but conclusive=False.  Tautological
-    resolvents are dropped.  If the variable does not occur at all the scheme
-    is returned unchanged (conclusive=True).
+    The column disappears.  Rows come out as the resolvents in (positive
+    row, negative row) row-major order, then the untouched rows.
+    Tautological resolvents are dropped.  This is Davis-Putnam variable
+    elimination: the result is satisfiable iff the input is.  `conclusive`
+    is True when at most one pair was resolved.  If the variable does not
+    occur at all the scheme is returned unchanged (conclusive=True).
     """
     if not (0 <= var < s.n):
         raise IndexError(f"column {var} out of range (n={s.n})")
     col = s.cells[:, var]
-    pos = np.nonzero(col == 1)[0]
-    neg = np.nonzero(col == -1)[0]
-    if len(pos) == 0 and len(neg) == 0:
+    pos = col == 1
+    neg = col == -1
+    if not (pos.any() or neg.any()):
         return s, True
-    rest = np.nonzero(col == 0)[0]
     reduced = np.delete(s.cells, var, axis=1)
-    rows = []
-    for i in pos:
-        for j in neg:
-            merged = _disjoin(reduced[i], reduced[j])
-            if merged is not None:
-                rows.append(merged)
-    for k in rest:
-        rows.append(reduced[k])
-    if rows:
-        out = Scheme(np.array(rows, dtype=np.int8))
-    else:
-        out = Scheme.empty(s.n - 1)
-    return out, (len(pos) * len(neg) <= 1)
+    rows = np.concatenate([_resolvents(reduced[pos], reduced[neg]), reduced[col == 0]])
+    return Scheme(rows), (int(pos.sum()) * int(neg.sum()) <= 1)
 
 
 @dataclass(frozen=True)
@@ -309,22 +302,9 @@ def split(s: Scheme, var: int) -> SplitResult:
     y_rows = reduced[col == 1]
     z_rows = reduced[col == -1]
     r_rows = reduced[col == 0]
-    products = []
-    seen = set()
-    for yr in y_rows:
-        for zr in z_rows:
-            merged = _disjoin(yr, zr)
-            if merged is None:
-                continue
-            key = merged.tobytes()
-            if key not in seen:
-                seen.add(key)
-                products.append(merged)
-    combined = products + [r for r in r_rows]
-    if combined:
-        recombined = Scheme(np.array(combined, dtype=np.int8))
-    else:
-        recombined = Scheme.empty(s.n - 1)
+    products = _resolvents(y_rows, z_rows)
+    _, first = np.unique(products, axis=0, return_index=True)
+    recombined = Scheme(np.concatenate([products[np.sort(first)], r_rows]))
     return SplitResult(
         y=Scheme(y_rows), z=Scheme(z_rows), r=Scheme(r_rows), recombined=recombined
     )

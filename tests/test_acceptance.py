@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from satscheme.checks import VerdictKind, check_resolution_chain, run_all
-from satscheme.counting import count_solutions, count_via_primes
+from satscheme.counting import count_by_cliques, count_solutions, count_via_primes
 from satscheme.dyadic import Dyadic
 from satscheme.kernels import assignment_profile
 from satscheme.minimizer import minimize_u, s_factor
@@ -145,6 +145,7 @@ def test_criterion_7a_counter_agreement():
             s = random_scheme(rng, n_max=10, m_max=15, empty_row_prob=0.04)
             want = oracle_scan(s).count
             assert count_solutions(s).total == want
+            assert count_by_cliques(s).total == want
             assert count_via_primes(s) == want
         assert time.perf_counter() - t0 < 60.0
 

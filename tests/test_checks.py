@@ -1,8 +1,10 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
+from satscheme import checks
 from satscheme.checks import (
     VerdictKind,
     check_all_rows_polarity,
@@ -16,7 +18,7 @@ from satscheme.checks import (
 )
 from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
-from satscheme.pseudo_boolean import pb_coefficients, scaled_profile
+from satscheme.pseudo_boolean import eval_u, pb_coefficients, scaled_profile, unsat_count_direct
 from satscheme.scheme_core import Scheme, evaluate
 from satscheme.transforms import assign, flip
 
@@ -122,7 +124,11 @@ def test_parity_dual_paths_agree_on_randoms():
     rng = random.Random(131)
     for _ in range(200):
         s = random_scheme(rng, n_max=8, m_max=12, empty_row_prob=0.1)
-        check_parity(s)  # internal cross-check raises on disagreement
+        v = check_parity(s)
+        # the direct sum equals the unit-weight expansion at all-true
+        via_coeffs = eval_u(pb_coefficients(s, "unit"), (1,) * s.n)
+        assert v.evidence["u_all_true"] == via_coeffs.as_int()
+        assert (v.kind is UNSAT) == (v.evidence["u_all_true"] % 2 == 1)
 
 
 # --- eigen bounds -----------------------------------------------------------------
@@ -181,7 +187,8 @@ def test_rayleigh_sandwich():
 def test_resolution_chain_paper_orders(f5):
     assert check_resolution_chain(f5, order=[0, 3, 2]).kind is UNSAT
     assert check_resolution_chain(f5, order=[1, 2]).kind is OPEN
-    assert check_resolution_chain(Scheme.empty(3)).kind is OPEN
+    v = check_resolution_chain(Scheme.empty(3))
+    assert v.kind is SAT and v.evidence == {"step": 0, "witness": (-1, -1, -1)}
 
 
 def test_resolution_chain_validates_order(f5):
@@ -193,11 +200,64 @@ def test_resolution_chain_validates_order(f5):
 
 def test_resolution_chain_never_contradicts_oracle():
     rng = random.Random(139)
-    for _ in range(150):
-        s = random_scheme(rng, n_max=8, m_max=12, empty_row_prob=0.05)
+    for _ in range(300):
+        s = random_scheme(rng, n_max=11, m_max=30, empty_row_prob=0.05)
         v = check_resolution_chain(s)
-        if v.kind is UNSAT:
-            assert oracle_scan(s).count == 0
+        count = oracle_scan(s).count
+        # with the default order the chain eliminates every variable, so
+        # within its budget it always decides
+        assert v.kind is (SAT if count else UNSAT)
+        if v.kind is SAT:
+            assert unsat_count_direct(s, v.evidence["witness"]) == 0
+        # an explicit order is followed as given and stays sound
+        order = rng.sample(range(s.n), rng.randint(0, s.n))
+        w = check_resolution_chain(s, order=order)
+        assert w.kind is not (UNSAT if count else SAT)
+        if w.kind is SAT:
+            assert unsat_count_direct(s, w.evidence["witness"]) == 0
+
+
+def test_resolution_chain_budget_gives_up_before_building(monkeypatch):
+    def no_resolve(*args):
+        raise AssertionError("resolve called past the budget")
+
+    monkeypatch.setattr(checks, "resolve", no_resolve)
+    # x1 occurs positively in 4 clauses and negatively in 4: 16 resolvents
+    rows = []
+    for i in range(4):
+        pos = [0] * 9
+        pos[0], pos[1 + i] = 1, 1
+        neg = [0] * 9
+        neg[0], neg[5 + i] = -1, 1
+        rows += [pos, neg]
+    s = Scheme.from_rows(rows)
+    v = check_resolution_chain(s, order=[0], row_limit=10)
+    assert v.kind is OPEN
+    assert v.evidence["final_rows"] == 8
+
+
+def test_resolution_chain_picks_least_growth_variable():
+    # x1 has |P|*|N| - |P| - |N| = 4 - 4 = 0, x2 and x3 are pure (-1 each),
+    # so x2 and x3 go first and take every clause with them
+    s = Scheme.from_rows([[1, 1, 0], [1, 0, 1], [-1, 1, 0], [-1, 0, 1]])
+    v = check_resolution_chain(s, row_limit=3)
+    assert v.kind is SAT and v.evidence["step"] == 2
+    assert unsat_count_direct(s, v.evidence["witness"]) == 0
+
+
+def test_run_all_returns_on_large_random_3sat():
+    rng = random.Random(151)
+    n = 26
+    rows = []
+    for _ in range(round(4.26 * n)):
+        row = [0] * n
+        for c in rng.sample(range(n), 3):
+            row[c] = rng.choice((1, -1))
+        rows.append(row)
+    s = Scheme.from_rows(rows)
+    t0 = time.perf_counter()
+    run_all(s)
+    assert time.perf_counter() - t0 < 20.0
 
 
 # --- run_all -------------------------------------------------------------------------

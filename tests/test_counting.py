@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from satscheme.counting import count_solutions, count_via_primes, solution_lower_bound
+from satscheme.counting import (
+    HISTOGRAM_N_LIMIT,
+    count_by_cliques,
+    count_solutions,
+    count_via_primes,
+    solution_lower_bound,
+)
 from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
 from satscheme.scheme_core import Scheme, orthogonal
@@ -15,7 +21,7 @@ def test_count_f5_partials(f5):
     res = count_solutions(f5)
     assert res.total == 0
     assert res.partials == {0: 16, 1: -24, 2: 9, 3: -1}
-    assert res.cluster_count == 10
+    assert count_by_cliques(f5).cluster_count == 10
 
 
 def test_count_f4_and_g(f4, g):
@@ -41,6 +47,40 @@ def test_count_total_is_sum_of_partials():
         res = count_solutions(s)
         assert res.total == sum(res.partials.values())
         assert 0 <= res.total <= 1 << s.n
+
+
+def test_histogram_partials_match_clique_enumeration():
+    rng = random.Random(67)
+    for i in range(400):
+        s = random_scheme(rng, n_max=10, m_max=14, k_max=4, empty_row_prob=0.05)
+        if i % 20 == 0:
+            s = Scheme.empty(s.n)
+        elif i % 20 == 1:
+            s = Scheme.from_rows([[]] * rng.randint(0, 3), n=0)
+        hist = count_solutions(s)
+        dfs = count_by_cliques(s)
+        assert list(hist.partials.items()) == list(dfs.partials.items())
+        assert hist.total == dfs.total
+        assert hist.cluster_count == 0
+
+
+def test_count_above_histogram_limit_enumerates_cliques():
+    # sparse n=25 formula: a chain of 2-clauses x_j -> x_{j+1} plus one unit
+    n = HISTOGRAM_N_LIMIT + 1
+    rows = []
+    for j in range(0, n - 1, 3):
+        row = [0] * n
+        row[j], row[j + 1] = -1, 1
+        rows.append(row)
+    unit = [0] * n
+    unit[0] = 1
+    rows.append(unit)
+    s = Scheme.from_rows(rows)
+    res = count_solutions(s)
+    assert res.cluster_count > 0
+    assert res.partials == count_by_cliques(s).partials
+    # the unit forces x1, which forces x2; each other 2-clause keeps 3 of 4
+    assert res.total == 3 ** (len(rows) - 2) * 2 ** (n - 2 * (len(rows) - 1))
 
 
 def _powerset_count(s):
