@@ -21,7 +21,6 @@ from .pseudo_boolean import (
     extend,
     pb_coefficients,
     serialize_polynomial,
-    unsat_count_direct,
 )
 from .pt_solvers import SolveResult, is_2sat, is_horn, solve_2sat, solve_horn
 from .scheme_core import (
@@ -36,6 +35,7 @@ from .scheme_core import (
     parse_dimacs,
     parse_scheme_text,
     status,
+    unsat_count_direct,
 )
 from .transforms import (
     SplitResult,

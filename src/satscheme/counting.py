@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .dyadic import Dyadic
 from .pseudo_boolean import clause_mass
-from .scheme_core import Scheme, orthogonal
+from .scheme_core import Scheme, _row_pairs
 from .transforms import FULL_BLOW_UP_LIMIT
 
 __all__ = [
@@ -85,26 +85,22 @@ def count_solutions(s: Scheme, n_limit: int = DEFAULT_N_LIMIT) -> CountResult:
     return CountResult(total=sum(partials.values()), partials=partials, cluster_count=0)
 
 
+def _bitmask(flags: np.ndarray) -> int:
+    """Python int with bit j set where flags[j] is True."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def count_by_cliques(s: Scheme) -> CountResult:
     """Exact model count by depth-first clique enumeration.
 
-    Rows are compatible when not orthogonal; each clique is visited once by
-    extending only with higher row indices.  The exact path above
-    HISTOGRAM_N_LIMIT variables, and the reference for the histogram path.
+    Rows are compatible when not orthogonal (a row's own bit is set too);
+    each clique is visited once by extending only with higher row indices.
+    The exact path above HISTOGRAM_N_LIMIT variables, and the reference for
+    the histogram path.
     """
     m, n = s.m, s.n
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not orthogonal(s, i, j):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    supports = []
-    for i in range(m):
-        mask = 0
-        for j in s.row_support(i):
-            mask |= 1 << j
-        supports.append(mask)
+    compat = [_bitmask(row) for _, _, clash in _row_pairs(s.cells) for row in clash == 0]
+    supports = list(map(_bitmask, s.cells != 0))
 
     partials: dict[int, int] = {0: 1 << n}
     clusters = 0

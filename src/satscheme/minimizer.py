@@ -19,7 +19,6 @@ integer counts.  `Dyadic` appears only in the returned `SFactor` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -220,9 +219,9 @@ def minimize_u(
     swing factors fix their variable outright, the rest branch.  With
     `shortcut` enabled, subtrees whose coefficient mass proves u > 0 are
     finished by a direct scan instead of further case analysis; the result
-    is identical either way.  `branch_limit` (default from
-    SATSCHEME_BRANCH_LIMIT, else unlimited) aborts runaway instances with
-    BranchLimitExceeded rather than ever returning a wrong answer.
+    is identical either way.  `branch_limit` (default None, unlimited)
+    aborts runaway instances with BranchLimitExceeded rather than ever
+    returning a wrong answer.
     """
     if order is None:
         order = list(range(s.n))
@@ -230,9 +229,6 @@ def minimize_u(
         order = [int(v) for v in order]
         if sorted(order) != list(range(s.n)):
             raise ValueError("elimination order must be a permutation of all columns")
-    if branch_limit is None:
-        env = os.environ.get("SATSCHEME_BRANCH_LIMIT")
-        branch_limit = int(env) if env else None
 
     search = _Search(shortcut=shortcut, branch_limit=branch_limit)
     u_min, fixed, trace = search.run(s, list(range(s.n)), order)

@@ -8,7 +8,6 @@ the full histogram of violation counts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import kernels
@@ -38,14 +37,9 @@ class OracleReport:
     witness: tuple[int, ...]
 
 
-def _limit() -> int:
-    env = os.environ.get("SATSCHEME_ORACLE_LIMIT")
-    return int(env) if env else DEFAULT_LIMIT
-
-
 def oracle_scan(s: Scheme, limit: int | None = None) -> OracleReport:
-    """Scan all assignments of `s`; raises ValueError when n exceeds the cap."""
-    cap = _limit() if limit is None else limit
+    """Scan all assignments of `s`; raises ValueError when n > `limit` (default DEFAULT_LIMIT)."""
+    cap = DEFAULT_LIMIT if limit is None else limit
     if s.n > cap:
         raise ValueError(f"oracle refuses n={s.n} > limit {cap}; raise the limit explicitly")
     collect = s.n <= SOLUTION_LIST_LIMIT

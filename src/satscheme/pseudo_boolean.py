@@ -30,7 +30,8 @@ import numpy as np
 
 from . import kernels
 from .dyadic import Dyadic
-from .scheme_core import Scheme, as_assignment
+from .oracle import DEFAULT_LIMIT
+from .scheme_core import Scheme, as_assignment, unsat_count_direct
 
 __all__ = [
     "ExtensionStrategy",
@@ -207,19 +208,6 @@ def eval_u(p: PBForm, x: Sequence[int]) -> Dyadic:
     return Dyadic(int(p.values(np.array([xs], dtype=np.int64))[0]), p.scale_exp)
 
 
-def unsat_count_direct(s: Scheme, x: Sequence[int]) -> int:
-    """Number of clauses with no satisfied literal, by direct row scan.
-
-    Independent of the polynomial machinery; serves as its oracle.
-    """
-    xs = as_assignment(x, s.n)
-    if s.m == 0:
-        return 0
-    xv = np.array(xs, dtype=np.int8)
-    sat = ((s.cells != 0) & (s.cells == xv[None, :])).any(axis=1)
-    return int(s.m - np.count_nonzero(sat))
-
-
 def _adverse_row(row: np.ndarray, sup: np.ndarray, strategy: ExtensionStrategy) -> np.ndarray:
     out = row.copy()
     if strategy is ExtensionStrategy.FLIP_ALL:
@@ -243,24 +231,29 @@ def extend(s: Scheme, strategy: ExtensionStrategy | str = ExtensionStrategy.FLIP
     EXHAUSTIVE enumerates the per-clause choices (first, second, third, all)
     in deterministic product order and returns the first extension that the
     brute-force scan finds satisfiable; it raises ValueError when none is
-    (which can only happen when `s` itself is unsatisfiable).
+    (which can only happen when `s` itself is unsatisfiable).  With t
+    3-literal clauses it refuses before any scan when 4**t * 2**n >
+    2**DEFAULT_LIMIT (oracle), the work of one oracle scan at its cap.
     """
     if isinstance(strategy, str):
         strategy = ExtensionStrategy(strategy.lower())
-    triple_rows = [i for i in range(s.m) if s.row_size(i) == 3]
+    triple_rows = np.flatnonzero(np.count_nonzero(s.cells, axis=1) == 3).tolist()
     if not triple_rows:
         return s
 
     if strategy is ExtensionStrategy.EXHAUSTIVE:
-        if s.n > 30:
-            raise ValueError("exhaustive extension search is capped at n <= 30")
+        t = len(triple_rows)
+        if 2 * t + s.n > DEFAULT_LIMIT:
+            raise ValueError(
+                f"exhaustive extension search: 4**{t} * 2**{s.n} exceeds the budget 2**{DEFAULT_LIMIT}"
+            )
         choices = (
             ExtensionStrategy.FLIP_FIRST,
             ExtensionStrategy.FLIP_SECOND,
             ExtensionStrategy.FLIP_THIRD,
             ExtensionStrategy.FLIP_ALL,
         )
-        for combo in itertools.product(choices, repeat=len(triple_rows)):
+        for combo in itertools.product(choices, repeat=t):
             rows = list(s.cells)
             for i, choice in zip(triple_rows, combo):
                 rows.append(_adverse_row(s.cells[i], np.nonzero(s.cells[i])[0], choice))

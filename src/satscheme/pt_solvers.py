@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scheme_core import Scheme, Status, evaluate, status
 from .transforms import accept_facts, assign, remove_pure_columns
 
@@ -173,13 +175,9 @@ def solve_horn(s: Scheme) -> SolveResult:
     while True:
         if red.scheme.has_empty_row():
             return SolveResult(satisfiable=False, witness=None, steps=red.steps)
-        fact = None
-        for i in range(red.scheme.m):
-            sup = red.scheme.row_support(i)
-            if len(sup) == 1 and red.scheme.cells[i, sup[0]] == 1:
-                fact = sup[0]
-                break
-        if fact is None:
+        cells = red.scheme.cells
+        facts = np.flatnonzero((np.count_nonzero(cells, axis=1) == 1) & (cells == 1).any(axis=1))
+        if not len(facts):
             return _finish(s, red, True)
-        red.assign(fact, True)
+        red.assign(int(np.argmax(cells[facts[0]])), True)
         assert is_horn(red.scheme), "Horn shape must survive fact acceptance"

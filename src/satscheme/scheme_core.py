@@ -28,7 +28,12 @@ __all__ = [
     "evaluate",
     "orthogonal",
     "status",
+    "unsat_count_direct",
 ]
+
+# Row pairs per block of _row_pairs: b = max(1, _PAIR_ENTRIES // m) rows
+# against all m rows, so its temporaries are a few b-by-m arrays.
+_PAIR_ENTRIES = 1 << 18
 
 
 class Fill(enum.IntEnum):
@@ -65,15 +70,22 @@ class Scheme:
     A cell holds exactly one of {+1, -1, 0}; a clause that would need both
     polarities of one variable (a tautology) is not representable and is
     rejected by the parsers.
+
+    Values other than exactly -1, 0 or +1 are rejected before the int8
+    cast.  A C-contiguous int8 array is wrapped without a copy and made
+    read-only; a caller that keeps editing it must pass a copy.
     """
 
     __slots__ = ("_cells", "_hash")
 
     def __init__(self, cells: np.ndarray):
-        arr = np.asarray(cells, dtype=np.int8)
+        raw = np.asarray(cells)
+        arr = raw.astype(np.int8, copy=False)
         if arr.ndim != 2:
             raise ValueError(f"scheme cells must be 2-dimensional, got shape {arr.shape}")
-        if arr.size and not np.isin(arr, (-1, 0, 1)).all():
+        if arr.size and (
+            arr.min() < -1 or arr.max() > 1 or (arr is not raw and not np.array_equal(arr, raw))
+        ):
             raise ValueError("scheme cells must be -1, 0 or +1")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -317,14 +329,22 @@ def emit_dimacs(s: Scheme) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-def evaluate(s: Scheme, x: Sequence[int]) -> bool:
-    """True iff every clause has a literal satisfied by x (+1 true, -1 false)."""
+def unsat_count_direct(s: Scheme, x: Sequence[int]) -> int:
+    """Number of clauses with no satisfied literal, by direct row scan.
+
+    Independent of the polynomial machinery; serves as its oracle.
+    """
     xs = as_assignment(x, s.n)
     if s.m == 0:
-        return True
+        return 0
     xv = np.array(xs, dtype=np.int8)
-    sat_per_row = ((s.cells != 0) & (s.cells == xv[None, :])).any(axis=1)
-    return bool(sat_per_row.all())
+    sat = ((s.cells != 0) & (s.cells == xv[None, :])).any(axis=1)
+    return int(s.m - np.count_nonzero(sat))
+
+
+def evaluate(s: Scheme, x: Sequence[int]) -> bool:
+    """True iff every clause has a literal satisfied by x (+1 true, -1 false)."""
+    return unsat_count_direct(s, x) == 0
 
 
 def orthogonal(s: Scheme, i: int, j: int) -> bool:
@@ -341,22 +361,42 @@ def orthogonal(s: Scheme, i: int, j: int) -> bool:
     return bool(((a == 1) & (b == -1)).any() or ((a == -1) & (b == 1)).any())
 
 
+def _row_pairs(cells: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (start, shared, clash) literal counts of row pairs, block by block.
+
+    For the block of rows start, start+1, ... against all m rows,
+    shared[a, j] counts the literals rows start+a and j have in common and
+    clash[a, j] the columns where they hold opposite fills.  Blocks come in
+    row order and span about _PAIR_ENTRIES pairs; no m-by-m-by-n table is
+    built.  With both = |a|.|b| and dot = a.b over the fills, shared =
+    (both + dot) / 2 and clash = (both - dot) / 2, exact in float32.
+    """
+    m = cells.shape[0]
+    fills = cells.astype(np.float32)
+    filled = np.abs(fills)
+    step = max(1, _PAIR_ENTRIES // max(m, 1))
+    for start in range(0, m, step):
+        both = filled[start : start + step] @ filled.T
+        dot = fills[start : start + step] @ fills.T
+        yield start, (both + dot) / 2, (both - dot) / 2
+
+
 def status(s: Scheme) -> Status:
     """First matching terminal pattern, else OPEN.
 
-    Checked in order: confirmation, contradiction, empty clause.
+    Checked in order: confirmation, contradiction (some column holds both a
+    +1 and a -1 unit row), empty clause.
     """
-    sizes = np.count_nonzero(s.cells, axis=1) if s.m else np.zeros(0, dtype=int)
+    if s.m == 0:
+        return Status.OPEN
+    sizes = np.count_nonzero(s.cells, axis=1)
+    if sizes.min() >= 2:
+        return Status.OPEN
     if s.m == 1 and sizes[0] == 1:
         return Status.CONFIRMATION
-    unit_fills = set()
-    for i in range(s.m):
-        if sizes[i] == 1:
-            j = int(np.nonzero(s.cells[i])[0][0])
-            unit_fills.add((j, int(s.cells[i, j])))
-    for (j, sign) in unit_fills:
-        if (j, -sign) in unit_fills:
-            return Status.CONTRADICTION
-    if s.m and (sizes == 0).any():
+    units = s.cells[sizes == 1]
+    if ((units == 1).any(axis=0) & (units == -1).any(axis=0)).any():
+        return Status.CONTRADICTION
+    if sizes.min() == 0:
         return Status.EMPTY_CLAUSE
     return Status.OPEN

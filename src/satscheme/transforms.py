@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scheme_core import Scheme, Status, status
+from .scheme_core import Scheme, Status, _row_pairs, status
 
 __all__ = [
     "SplitResult",
@@ -110,95 +110,72 @@ def full_blow_up(s: Scheme) -> Scheme:
     return Scheme(np.array(out_rows, dtype=np.int8))
 
 
-def _find_shrink_pair(cells: np.ndarray) -> tuple[int, int, int] | None:
-    m = cells.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = np.nonzero(cells[i] != cells[j])[0]
-            if len(diff) == 1:
-                c = int(diff[0])
-                if cells[i, c] != 0 and cells[i, c] == -cells[j, c]:
-                    return i, j, c
-    return None
-
-
 def shrink(s: Scheme) -> Scheme:
     """Merge clause pairs identical up to one complementary literal, to fixpoint.
 
-    (X or A) and (not-X or A) == A.  Stops early when a terminal pattern
-    (confirmation/contradiction/empty clause) appears, so those shapes stay
-    visible to the caller.
+    (X or A) and (not-X or A) == A.  Each round merges the first pair
+    (i < j, in row-major order) whose rows differ in exactly one cell and
+    clash there: row i loses that literal and row j is deleted.  Stops early
+    when a terminal pattern (confirmation/contradiction/empty clause)
+    appears, so those shapes stay visible to the caller.
     """
-    cells = s.cells.copy()
-    while True:
-        if status(Scheme(cells)) is not Status.OPEN:
+    cells = s.cells
+    while status(Scheme(cells)) is Status.OPEN:
+        sizes = np.count_nonzero(cells, axis=1)
+        for start, shared, clash in _row_pairs(cells):
+            rows = np.arange(start, start + len(shared))
+            # cells differing: each lone literal once, each clashing column once
+            differ = sizes[rows, None] + sizes[None, :] - 2 * shared - clash
+            later = rows[:, None] < np.arange(len(cells))
+            pairs = np.argwhere((differ == 1) & (clash == 1) & later)
+            if len(pairs):
+                break
+        else:
             break
-        hit = _find_shrink_pair(cells)
-        if hit is None:
-            break
-        i, j, c = hit
-        merged = cells[i].copy()
-        merged[c] = 0
-        keep = [k for k in range(cells.shape[0]) if k != j]
-        cells = cells[keep]
-        cells[i] = merged
+        i, j = start + int(pairs[0, 0]), int(pairs[0, 1])
+        c = int(np.argmax(cells[i] != cells[j]))
+        cells = np.delete(cells, j, axis=0)
+        cells[i, c] = 0
     return Scheme(cells)
-
-
-def _literal_set(cells: np.ndarray, i: int) -> frozenset[tuple[int, int]]:
-    return frozenset((int(j), int(cells[i, j])) for j in np.nonzero(cells[i])[0])
 
 
 def drop_subsumed(s: Scheme) -> Scheme:
     """Remove clauses whose literal set contains another clause's.
 
-    R and (R or S) == R.  Exact duplicates keep their first copy.
+    R and (R or S) == R.  With sub[i, j] meaning every literal of row j is
+    in row i, row i goes when some j != i has sub[i, j] and (not sub[j, i]
+    or j < i): strict supersets go, and exact duplicates keep their first
+    copy.
     """
-    sets = [_literal_set(s.cells, i) for i in range(s.m)]
-    keep = []
-    for i in range(s.m):
-        subsumed = False
-        for j in range(s.m):
-            if i == j:
-                continue
-            if sets[j] < sets[i] or (sets[j] == sets[i] and j < i):
-                subsumed = True
-                break
-        if not subsumed:
-            keep.append(i)
-    return Scheme(s.cells[keep])
+    sizes = np.count_nonzero(s.cells, axis=1)
+    drop = np.zeros(s.m, dtype=bool)
+    for start, shared, _ in _row_pairs(s.cells):
+        rows = np.arange(start, start + len(shared))
+        sub = shared == sizes[None, :]
+        sub_back = shared == sizes[rows, None]
+        drop[rows] = (sub & (~sub_back | (np.arange(s.m) < rows[:, None]))).any(axis=1)
+    return Scheme(s.cells[~drop])
 
 
 def remove_pure_columns(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
     """Delete single-polarity columns and the clauses they satisfy, to fixpoint.
 
     Returns the reduced scheme plus the forced (original column, value)
-    assignments; the reduced scheme is satisfiable iff the input is.
+    assignments; the reduced scheme is satisfiable iff the input is.  Each
+    round removes the lowest pure column, so the trail is in that order.
     Columns with no fills at all are left alone (nothing forces them).
     """
     cells = s.cells
     col_ids = list(range(s.n))
     removed: list[tuple[int, bool]] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(cells.shape[1]):
-            col = cells[:, j]
-            nz = col[col != 0]
-            if nz.size == 0:
-                continue
-            if (nz == 1).all():
-                value = True
-            elif (nz == -1).all():
-                value = False
-            else:
-                continue
-            removed.append((col_ids[j], value))
-            keep_rows = np.nonzero(col == 0)[0]
-            cells = np.delete(cells[keep_rows], j, axis=1)
-            col_ids.pop(j)
-            changed = True
+    while True:
+        has_pos = (cells == 1).any(axis=0)
+        pure = has_pos ^ (cells == -1).any(axis=0)
+        if not pure.any():
             break
+        j = int(np.argmax(pure))
+        removed.append((col_ids.pop(j), bool(has_pos[j])))
+        cells = np.delete(cells[cells[:, j] == 0], j, axis=1)
     return Scheme(cells), removed
 
 
@@ -228,15 +205,12 @@ def accept_facts(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
     while True:
         if status(cur) is not Status.OPEN:
             break
-        unit = None
-        for i in range(cur.m):
-            sup = cur.row_support(i)
-            if len(sup) == 1:
-                unit = (sup[0], int(cur.cells[i, sup[0]]) == 1)
-                break
-        if unit is None:
+        units = np.flatnonzero(np.count_nonzero(cur.cells, axis=1) == 1)
+        if not len(units):
             break
-        j, value = unit
+        row = cur.cells[units[0]]
+        j = int(np.flatnonzero(row)[0])
+        value = bool(row[j] == 1)
         trail.append((col_ids[j], value))
         cur = assign(cur, j, value)
         col_ids.pop(j)

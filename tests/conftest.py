@@ -63,3 +63,28 @@ def random_horn_scheme(rng: random.Random, n_max=10, m_max=15) -> Scheme:
             row[c] = 1 if c == pos_at else -1
         rows.append(row)
     return Scheme.from_rows(rows, n=n)
+
+
+def random_clause_set(rng: random.Random, n_max=9, m_max=15) -> Scheme:
+    """Random scheme with n=0..n_max, duplicate rows, empty clauses, widths
+    up to 4 and sometimes a pair of complementary unit clauses."""
+    n = rng.randint(0, n_max)
+    m = rng.randint(0, m_max)
+    empty_prob = rng.choice((0.0, 0.05, 0.2))
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.15:
+            rows.append(list(rng.choice(rows)))
+            continue
+        k = 0 if n == 0 or rng.random() < empty_prob else rng.randint(1, min(4, n))
+        row = [0] * n
+        for c in rng.sample(range(n), k):
+            row[c] = rng.choice((1, -1))
+        rows.append(row)
+    if n and rng.random() < 0.2:
+        c = rng.randrange(n)
+        for sign in (1, -1):
+            row = [0] * n
+            row[c] = sign
+            rows.insert(rng.randint(0, len(rows)), row)
+    return Scheme.from_rows(rows, n=n)

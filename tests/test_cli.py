@@ -123,6 +123,17 @@ def test_read3_and_extend(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 10
 
 
+def test_extend_exhaustive_over_budget_is_an_error(capsys, tmp_path):
+    supports = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    clauses = [supports[k % 4] for k in range(14)]
+    f = tmp_path / "t14.cnf"
+    f.write_text("p cnf 4 14\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses))
+    code = main(["extend", "--strategy", "exhaustive", "-f", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: exhaustive extension search: 4**14 * 2**4 exceeds the budget 2**30\n"
+
+
 def test_oracle_json(capsys, tmp_path):
     f = tmp_path / "f5.txt"
     f.write_text("0 - + -\n+ - - 0\n- 0 - 0\n0 + 0 0\n0 0 0 +")

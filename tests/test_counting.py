@@ -14,7 +14,9 @@ from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
 from satscheme.scheme_core import Scheme, orthogonal
 
-from conftest import random_scheme
+from satscheme import scheme_core
+
+from conftest import random_clause_set, random_scheme
 
 
 def test_count_f5_partials(f5):
@@ -174,3 +176,31 @@ def test_lower_bound_below_total_and_truncation():
         # the bound is exactly the expansion truncated after singleton clusters
         truncated = res.partials.get(0, 0) + res.partials.get(1, 0)
         assert bound == Dyadic(truncated)
+
+
+def _clusters_reference(s):
+    """Partials and cluster count over every pairwise non-orthogonal row subset."""
+    clash = {(i, j) for i, j in itertools.combinations(range(s.m), 2) if orthogonal(s, i, j)}
+    partials = {0: 1 << s.n}
+    clusters = 0
+    for size in range(1, s.m + 1):
+        for rows in itertools.combinations(range(s.m), size):
+            if not clash.isdisjoint(itertools.combinations(rows, 2)):
+                continue
+            clusters += 1
+            k = len({j for i in rows for j in s.row_support(i)})
+            partials[size] = partials.get(size, 0) + (-1) ** size * (1 << (s.n - k))
+    return partials, clusters
+
+
+@pytest.mark.parametrize("entries", [None, 20])
+def test_count_by_cliques_matches_subset_enumeration(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
+    rng = random.Random(431)
+    for _ in range(300):
+        s = random_clause_set(rng, m_max=10)
+        res = count_by_cliques(s)
+        partials, clusters = _clusters_reference(s)
+        assert (res.partials, res.cluster_count) == (partials, clusters)
+        assert res.total == sum(partials.values())

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from satscheme import kernels
 from satscheme.dyadic import Dyadic
 from satscheme.kernels import assignment_profile, decode_assignment
 from satscheme.oracle import oracle_scan
@@ -264,6 +265,34 @@ def test_extend_exhaustive_on_g(g, gext):
 def test_extend_exhaustive_unsat_raises(f5):
     with pytest.raises(ValueError, match="unsatisfiable"):
         extend(f5, "exhaustive")
+
+
+def _triples(t, n=4):
+    """t three-literal rows over n columns, cycling through supports and a first sign."""
+    supports = list(itertools.combinations(range(n), 3))
+    rows = []
+    for k in range(t):
+        row = [0] * n
+        a, b, c = supports[k % len(supports)]
+        row[a], row[b], row[c] = (1, -1)[(k // len(supports)) % 2], 1, 1
+        rows.append(row)
+    return Scheme.from_rows(rows, n=n)
+
+
+def test_extend_exhaustive_budget_refuses_before_any_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the budget check")
+
+    monkeypatch.setattr(kernels, "assignment_scan", no_scan)
+    # 4**14 extensions of 2**4 assignments: 2**32 > 2**DEFAULT_LIMIT
+    with pytest.raises(ValueError, match="4\\*\\*14 \\* 2\\*\\*4 exceeds the budget 2\\*\\*30"):
+        extend(_triples(14), ExtensionStrategy.EXHAUSTIVE)
+
+
+def test_extend_exhaustive_runs_at_the_budget():
+    # 4**13 * 2**4 = 2**30 is allowed; all-true satisfies the first extension
+    ext = extend(_triples(13), "exhaustive")
+    assert ext.m == 26 and evaluate(ext, (1, 1, 1, 1))
 
 
 def test_extend_sat_of_extension_implies_sat():

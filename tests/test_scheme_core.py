@@ -20,7 +20,9 @@ from satscheme.scheme_core import (
     status,
 )
 
-from conftest import random_scheme
+from satscheme import scheme_core
+
+from conftest import random_clause_set, random_scheme
 
 
 # --- parsing ---------------------------------------------------------------
@@ -112,6 +114,28 @@ def test_scheme_validation():
         Scheme(np.array([[2, 0]], dtype=np.int8))
     with pytest.raises(ValueError):
         Scheme.from_rows([[1, 0], [1]])
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([[1, 255, 0]]),
+        np.array([[1.7, 0, 0]]),
+        [[1, 2, 0]],
+        np.array([[-128, 0]], dtype=np.int8),
+    ],
+)
+def test_scheme_rejects_values_before_the_cast(cells):
+    # 255 wraps to -1 and 1.7 truncates to 1 in an int8 cast; both must be
+    # rejected rather than silently accepted as fills
+    with pytest.raises(ValueError, match="-1, 0 or \\+1"):
+        Scheme(cells)
+
+
+def test_scheme_accepts_exact_fills_of_any_dtype():
+    for cells in (np.array([[1, -1, 0]], dtype=np.int64), [[True, False, False]]):
+        assert Scheme(cells).cells.dtype == np.int8
+    assert Scheme(np.array([[1.0, -1.0, 0.0]])).row(0) == (1, -1, 0)
 
 
 def test_fill_enum_images():
@@ -239,3 +263,73 @@ def test_status_patterns(f4):
     assert status(Scheme.from_rows([[1, 0], [1, 0]])) is Status.OPEN
     # complementary units in different columns are not a contradiction
     assert status(Scheme.from_rows([[1, 0], [0, -1]])) is Status.OPEN
+
+
+def _status_reference(s):
+    """The row loop status() used to run, kept as the reference."""
+    sizes = np.count_nonzero(s.cells, axis=1) if s.m else np.zeros(0, dtype=int)
+    if s.m == 1 and sizes[0] == 1:
+        return Status.CONFIRMATION
+    unit_fills = set()
+    for i in range(s.m):
+        if sizes[i] == 1:
+            j = int(np.nonzero(s.cells[i])[0][0])
+            unit_fills.add((j, int(s.cells[i, j])))
+    for (j, sign) in unit_fills:
+        if (j, -sign) in unit_fills:
+            return Status.CONTRADICTION
+    if s.m and (sizes == 0).any():
+        return Status.EMPTY_CLAUSE
+    return Status.OPEN
+
+
+def test_status_matches_row_loop_reference():
+    rng = random.Random(401)
+    seen = set()
+    for _ in range(600):
+        s = random_clause_set(rng)
+        got = status(s)
+        assert got is _status_reference(s)
+        seen.add(got)
+    assert seen == set(Status)
+
+
+def test_status_precedence():
+    # contradiction outranks an empty clause; a single unit row is a confirmation
+    assert status(Scheme.from_rows([[0, 0], [1, 0], [-1, 0]])) is Status.CONTRADICTION
+    assert status(Scheme.from_rows([[0, -1]])) is Status.CONFIRMATION
+    assert status(Scheme.from_rows([[0, 0]])) is Status.EMPTY_CLAUSE
+    assert status(Scheme.from_rows([[1, 1], [-1, 0], [0, 0]])) is Status.EMPTY_CLAUSE
+
+
+def _pair_counts_reference(cells):
+    shared = ((cells[:, None] == cells[None]) & (cells[:, None] != 0)).sum(-1)
+    clash = (cells[:, None] * cells[None] == -1).sum(-1)
+    return shared, clash
+
+
+@pytest.mark.parametrize("entries", [1, 7, 1 << 18])
+def test_row_pairs_blocks_cover_every_pair(monkeypatch, entries):
+    monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
+    rng = random.Random(409)
+    for _ in range(100):
+        s = random_clause_set(rng)
+        blocks = list(scheme_core._row_pairs(s.cells))
+        lengths = [len(b) for _, b, _ in blocks]
+        assert [start for start, _, _ in blocks] == [sum(lengths[:k]) for k in range(len(blocks))]
+        shared = np.concatenate([b for _, b, _ in blocks]) if blocks else np.zeros((0, 0))
+        clash = np.concatenate([c for _, _, c in blocks]) if blocks else np.zeros((0, 0))
+        want_shared, want_clash = _pair_counts_reference(s.cells)
+        assert np.array_equal(shared, want_shared.reshape(shared.shape))
+        assert np.array_equal(clash, want_clash.reshape(clash.shape))
+        if entries == 1:
+            assert all(len(b) == 1 for _, b, _ in blocks)
+
+
+def test_evaluate_agrees_with_unsat_count():
+    rng = random.Random(419)
+    for _ in range(100):
+        s = random_clause_set(rng, n_max=6)
+        for code in range(1 << s.n):
+            x = tuple(1 if (code >> j) & 1 else -1 for j in range(s.n))
+            assert evaluate(s, x) is (scheme_core.unsat_count_direct(s, x) == 0)

@@ -28,7 +28,9 @@ from satscheme.transforms import (
     split,
 )
 
-from conftest import random_scheme
+from satscheme import scheme_core
+
+from conftest import random_clause_set, random_scheme
 
 
 def _solutions(s):
@@ -394,3 +396,132 @@ def test_reduce_read3_equisatisfiable():
             checked += 1
             assert (oracle_scan(out).count > 0) == (oracle_scan(s).count > 0)
     assert checked >= 20
+
+
+# --- whole-array operations against the loops they replaced ----------------------
+
+def _find_shrink_pair_reference(cells):
+    m = cells.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            diff = np.nonzero(cells[i] != cells[j])[0]
+            if len(diff) == 1:
+                c = int(diff[0])
+                if cells[i, c] != 0 and cells[i, c] == -cells[j, c]:
+                    return i, j, c
+    return None
+
+
+def _shrink_reference(s):
+    cells = s.cells.copy()
+    while True:
+        if status(Scheme(cells)) is not Status.OPEN:
+            break
+        hit = _find_shrink_pair_reference(cells)
+        if hit is None:
+            break
+        i, j, c = hit
+        merged = cells[i].copy()
+        merged[c] = 0
+        keep = [k for k in range(cells.shape[0]) if k != j]
+        cells = cells[keep]
+        cells[i] = merged
+    return Scheme(cells)
+
+
+def _drop_subsumed_reference(s):
+    sets = [
+        frozenset((int(j), int(s.cells[i, j])) for j in np.nonzero(s.cells[i])[0]) for i in range(s.m)
+    ]
+    keep = []
+    for i in range(s.m):
+        if not any(
+            sets[j] < sets[i] or (sets[j] == sets[i] and j < i) for j in range(s.m) if j != i
+        ):
+            keep.append(i)
+    return Scheme(s.cells[keep])
+
+
+def _remove_pure_columns_reference(s):
+    cells = s.cells
+    col_ids = list(range(s.n))
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(cells.shape[1]):
+            col = cells[:, j]
+            nz = col[col != 0]
+            if nz.size == 0:
+                continue
+            if (nz == 1).all():
+                value = True
+            elif (nz == -1).all():
+                value = False
+            else:
+                continue
+            removed.append((col_ids[j], value))
+            cells = np.delete(cells[np.nonzero(col == 0)[0]], j, axis=1)
+            col_ids.pop(j)
+            changed = True
+            break
+    return Scheme(cells), removed
+
+
+def _accept_facts_reference(s):
+    cur = s
+    col_ids = list(range(s.n))
+    trail = []
+    while status(cur) is Status.OPEN:
+        unit = None
+        for i in range(cur.m):
+            sup = cur.row_support(i)
+            if len(sup) == 1:
+                unit = (sup[0], int(cur.cells[i, sup[0]]) == 1)
+                break
+        if unit is None:
+            break
+        j, value = unit
+        trail.append((col_ids[j], value))
+        cur = assign(cur, j, value)
+        col_ids.pop(j)
+    return cur, trail
+
+
+def _same(a, b):
+    return a.cells.shape == b.cells.shape and np.array_equal(a.cells, b.cells)
+
+
+@pytest.mark.parametrize("entries", [None, 1, 7])
+def test_clause_set_operations_match_loop_references(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
+    rng = random.Random(421)
+    merged = dropped = 0
+    for _ in range(500):
+        s = random_clause_set(rng)
+        got = shrink(s)
+        assert _same(got, _shrink_reference(s))
+        merged += got.m < s.m
+        got = drop_subsumed(s)
+        assert _same(got, _drop_subsumed_reference(s))
+        dropped += got.m < s.m
+        (got, trail), (want, want_trail) = remove_pure_columns(s), _remove_pure_columns_reference(s)
+        assert _same(got, want) and trail == want_trail
+        (got, trail), (want, want_trail) = accept_facts(s), _accept_facts_reference(s)
+        assert _same(got, want) and trail == want_trail
+    assert merged > 20 and dropped > 100
+
+
+def test_shrink_merges_first_pair_in_row_major_order():
+    # rows 0/2 and 1/2 are both mergeable on column 0; the pair (0, 2) comes first
+    s = Scheme.from_rows([[1, 1, 0], [1, 0, 1], [-1, 1, 0], [-1, 0, 1]])
+    out = shrink(s)
+    assert emit_scheme_text(out) == "0 + 0\n0 0 +"
+
+
+def test_shrink_leaves_its_input_untouched():
+    cells = np.array([[1, 1], [-1, 1], [0, -1]], dtype=np.int8)
+    s = Scheme(cells.copy())
+    shrink(s)
+    assert np.array_equal(s.cells, cells)
