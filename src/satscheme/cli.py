@@ -7,13 +7,14 @@ arguments and output are 1-based.
 
 Exit codes: 10 when satisfiability was certified, 20 when unsatisfiability
 was certified, 0 for plain success or an inconclusive check battery, 1 for
-usage or input errors.
+input and budget errors, 2 for command-line usage errors (from argparse).
 """
 
 from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import sys
 
@@ -74,7 +75,10 @@ def read_scheme(args) -> Scheme:
         payload = json.loads(stripped)
         if "scheme_text" not in payload:
             raise SchemeParseError("JSON input lacks a 'scheme_text' field")
-        return parse_scheme_text(payload["scheme_text"])
+        grid = payload["scheme_text"]
+        if not isinstance(grid, str):
+            raise SchemeParseError(f"JSON 'scheme_text' must be a string, not {type(grid).__name__}")
+        return parse_scheme_text(grid)
     for line in stripped.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -365,7 +369,10 @@ def _add_text_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument("--text", action="store_true", help="grid/plain output instead of JSON")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every `main` call
+    (so callers must not modify it)."""
     parser = argparse.ArgumentParser(
         prog="satscheme",
         description="Analyze CNF formulas in matrix-scheme form (1-based indices everywhere).",
@@ -453,14 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemeParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except minimizer.BranchLimitExceeded as exc:
+    except (ValueError, KeyError, OSError, MemoryError, minimizer.BranchLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

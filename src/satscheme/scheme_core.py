@@ -80,7 +80,11 @@ class Scheme:
 
     def __init__(self, cells: np.ndarray):
         raw = np.asarray(cells)
-        arr = raw.astype(np.int8, copy=False)
+        if raw.dtype == np.int8:
+            arr = raw
+        else:  # NaN and inf cast with a warning; the equality check below rejects them
+            with np.errstate(invalid="ignore"):
+                arr = raw.astype(np.int8)
         if arr.ndim != 2:
             raise ValueError(f"scheme cells must be 2-dimensional, got shape {arr.shape}")
         if arr.size and (

@@ -1,11 +1,17 @@
+import io
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from satscheme.cli import main
-from satscheme.scheme_core import parse_scheme_text
+import satscheme
+from satscheme.cli import build_parser, main
+from satscheme.fixtures import fixture
+from satscheme.scheme_core import emit_dimacs, parse_scheme_text
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -227,3 +233,99 @@ def test_stdin_scheme_text(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["m"] == 2
+
+
+# --- one parser for every request ---------------------------------------------
+
+_F5_DIMACS = emit_dimacs(fixture("F5"))
+
+# Pairs where the first call sets an option the second leaves at its default,
+# so a value that stuck to the shared parser would change the second answer.
+_REUSE_SEQUENCE = [
+    ["parse", "--text"],
+    ["parse"],
+    ["transform", "--ops", "flip:1", "--trail"],
+    ["transform", "--ops", "shrink"],
+    ["solve", "--method", "oracle", "--limit", "2"],
+    ["solve", "--method", "oracle"],
+    ["minimize", "--order", "2,1"],
+    ["minimize"],
+]
+
+
+def test_reused_parser_answers_like_fresh_processes(capsys, monkeypatch):
+    env = {**os.environ, "PYTHONPATH": str(Path(satscheme.__file__).parents[1])}
+    for argv in _REUSE_SEQUENCE:
+        monkeypatch.setattr("sys.stdin", io.StringIO(_F5_DIMACS))
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "satscheme.cli", *argv],
+            input=_F5_DIMACS,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_on_the_reused_parser_exits_2(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("satscheme: error: unrecognized arguments: --bogus\n")
+
+
+# --- input and budget errors: exit 1, `error: …`, nothing on stdout -------------
+
+def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
+    lines = [f"p cnf {n} {m}"]
+    for _ in range(m):
+        lits = [rng.choice((1, -1)) * (c + 1) for c in rng.sample(range(n), 3)]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, message",
+    [
+        (["oracle", "--limit", "2"], _F5_DIMACS, "oracle refuses n=4 > limit 2; raise the limit explicitly"),
+        (
+            ["solve", "--method", "oracle", "--limit", "2"],
+            _F5_DIMACS,
+            "oracle refuses n=4 > limit 2; raise the limit explicitly",
+        ),
+        (["count"], "p cnf 64 1\n1 64 0\n", "count_solutions refuses n=64 > limit 63"),
+        (  # without the prune this formula needs 3 branches
+            ["minimize", "--no-shortcut", "--branch-limit", "1"],
+            _random_3sat_dimacs(random.Random(3), 8, 34),
+            "exceeded branch limit 1; no answer returned",
+        ),
+        (["parse"], '{"scheme_text": 5}', "JSON 'scheme_text' must be a string, not int"),
+        (["parse"], '{"scheme_text": ["+ -"]}', "JSON 'scheme_text' must be a string, not list"),
+    ],
+    ids=["oracle", "solve-oracle", "count", "minimize", "scheme-text-int", "scheme-text-list"],
+)
+def test_budget_and_input_errors_exit_1(capsys, monkeypatch, argv, stdin_text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_grid_too_large_to_allocate_is_an_error(capsys, monkeypatch):
+    # 10**15 int8 cells is 1 PB, beyond the 128 TB x86-64 address space, so
+    # the allocation fails at once whatever the overcommit setting
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1000000000000000 1\n1 0\n"))
+    code = main(["parse"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

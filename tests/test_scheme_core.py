@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def test_scheme_rejects_values_before_the_cast(cells):
     # rejected rather than silently accepted as fills
     with pytest.raises(ValueError, match="-1, 0 or \\+1"):
         Scheme(cells)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scheme_rejects_non_finite_floats_without_a_cast_warning(value):
+    # the int8 cast of NaN or inf warns "invalid value encountered in cast";
+    # under warnings-as-errors that warning must not replace the ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="-1, 0 or \\+1"):
+            Scheme(np.array([[value, 0.0]]))
 
 
 def test_scheme_accepts_exact_fills_of_any_dtype():
