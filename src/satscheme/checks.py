@@ -305,13 +305,33 @@ def check_resolution_chain(
         eliminated.append((idx, np.array(col_ids), cur.cells[on_var]))
         if on_var.any():
             cur, _ = resolve(cur, idx)
-            # asking for the indices keeps np.unique off a path that imports numpy.ma
-            rows, _ = np.unique(cur.cells, axis=0, return_index=True)
-            cur = Scheme(rows)
+            cur = Scheme(_distinct_rows(cur.cells))
         else:
             cur = cur.delete_columns([idx])
         col_ids.pop(idx)
     return Verdict.inconclusive(final_rows=cur.m)
+
+
+def _distinct_rows(cells: np.ndarray) -> np.ndarray:
+    """The distinct rows of a clause grid, in the order of their keys.
+
+    Each block of up to 39 columns of a row becomes one base-3 int64 key,
+    (cells + 1) @ 3**j, exact because 3**39 < 2**63.  `np.lexsort` sorts
+    the rows by their keys, first block first, and equal neighbours go.
+    """
+    digits = cells.astype(np.int64) + 1
+    n = cells.shape[1]
+    keys = np.stack(
+        [
+            digits[:, j : j + 39] @ 3 ** np.arange(min(39, n - j), dtype=np.int64)
+            for j in range(0, max(n, 1), 39)
+        ]
+    )
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return cells[order[first]]
 
 
 def _back_substitute(n: int, eliminated) -> tuple[int, ...]:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,67 @@ def test_run_all_soundness_battery():
                 assert truth, f"{name} certified SAT on an unsatisfiable scheme"
             if verdict.kind is UNSAT:
                 assert not truth, f"{name} certified UNSAT on a satisfiable scheme"
+
+
+# --- the chain's dedupe and numpy.ma ----------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 8, 38, 39, 40, 78, 79, 100])
+def test_distinct_rows_keeps_each_row_once(n):
+    rng = np.random.default_rng(n)
+    for m in (0, 1, 2, 7, 40):
+        base = rng.integers(-1, 2, size=(max(1, m // 3), n), dtype=np.int8)
+        cells = base[rng.integers(0, len(base), size=m)]
+        # rows that differ only past column 39 must stay apart
+        if n > 39 and m:
+            cells[rng.integers(0, m), n - 1] = 1
+            cells[rng.integers(0, m), n - 1] = -1
+        got = checks._distinct_rows(cells)
+        assert got.dtype == np.int8 and got.shape[1] == n
+        assert len(got) == len({r.tobytes() for r in cells})
+        assert {r.tobytes() for r in got} == {r.tobytes() for r in cells}
+
+
+def test_answer_paths_leave_numpy_ma_unloaded(tmp_path):
+    # an extra module on every answer path would raise the benchmark's peak RSS
+    script = """
+import contextlib, io, random, sys
+from satscheme import cli
+from satscheme.checks import check_resolution_chain, run_all
+from satscheme.counting import count_solutions
+from satscheme.fixtures import fixture
+from satscheme.minimizer import minimize_u
+from satscheme.oracle import oracle_scan
+from satscheme.scheme_core import Scheme, emit_dimacs
+
+rng = random.Random(5)
+n = 12
+rows = []
+for _ in range(51):
+    row = [0] * n
+    for c in rng.sample(range(n), 3):
+        row[c] = rng.choice((1, -1))
+    rows.append(row)
+for s in (fixture("F4"), fixture("F5"), Scheme.from_rows(rows, n=n)):
+    run_all(s)
+    check_resolution_chain(s)
+    minimize_u(s)
+    count_solutions(s)
+    oracle_scan(s)
+    for argv in (["check"], ["minimize"]):
+        sys.stdin = io.StringIO(emit_dimacs(s))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
