@@ -87,6 +87,8 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     """
     fmat = np.asarray(fmat, dtype=np.int8)
     m, n = fmat.shape
+    if m == 0:  # every assignment is a model
+        return 1 << n, 0, 0, np.array([1 << n], np.int64), np.arange(1 << n) if collect else np.empty(0, np.int64)
     lo, chunks = _chunks(n)
     pos = (fmat == 1).astype(np.float64)
     neg = (fmat == -1).astype(np.float64)

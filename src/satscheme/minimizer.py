@@ -5,36 +5,46 @@ the swing factor S_v keeps one sign over all y the optimal value of x_v is
 forced and one variable disappears without branching; otherwise both values
 must be explored.
 
-Fixing x_v = a is a substitution into the parent's polynomial: C becomes
-C - a lam_v, each lam_j becomes lam_j - a mu_vj, each mu_jk becomes
-mu_jk - a nu_vjk, and the terms without v keep their values.  Because the
-multilinear expansion is unique (Boros & Hammer, DAM 2002), the result is
-exactly the polynomial of the reduced formula (satisfied clauses dropped,
-falsified literals removed), so every intermediate u is again the u of a
-formula.  The search builds one form at the root with `pb_coefficients`
-and folds every child's form from its parent's, all at the root's scale;
-the `resolve_weights` bound keeps every value exact in int64.
+Flat form.  `pb_coefficients` runs once, at the root.  Every node's form is
+one int64 vector in the root's indexing, at the root's scale 2**E:
+c = [C, lam, mu over the pairs that share a root term, nu over the root's
+triples].  Fixing x_v = a moves each monomial on v onto its image without v
+(lam_v onto C, mu_vj onto lam_j, nu_vjk onto mu_jk): c[dst] -= a c[src],
+then c[src] = 0.  The multilinear expansion is unique (Boros & Hammer, DAM
+2002), so this is exactly the form of the reduced formula.  M -> M without v is
+injective, so no slot receives two terms, and the slots of monomials on
+fixed variables stay 0.  The `resolve_weights` bound keeps every value
+exact in int64.
 
-The coefficient-mass shortcut proves some subtrees can never reach u = 0;
-those subtrees skip the case analysis and are finished by the fast
-assignment-scan kernel instead, keeping the reported minimum exact.
+Per-depth S tables.  Depth d fixes order[d], so every node there has the
+same free set.  The fold's slots and a +-1 basis over R_d, the free
+variables that share a root term with order[d], are built once per depth,
+and S at a node is the basis times the slots the fold reads.  R_d contains
+the node's exact support and S does not depend on the other columns, so
+the min and max are those over the exact support.  The kept bases hold at
+most S_CACHE entries per search; a depth past that, or past S_BLOCK rows,
+tabulates S over the node's exact support, S_BLOCK assignments at a time.
 
-S_v is tabulated as int64 over its support, at most S_BLOCK assignments
-at a time, and the search compares plain integer counts.  A shortcut hit
-rebuilds the node's clause grid from the root's rows for its scan.
+Deferred shortcut scans.  When the coefficient mass is below C, u > 0 on
+the whole subtree, and the assignment-scan kernel finishes it.  The scan
+is deferred: the hit yields the lower bound ceil((C - mass) / 2**E) >= 1,
+and a scan runs only when its value decides which child a branch keeps
+(the least value, the first child on a tie), so the result is the one the
+eager search gives.  A zero is always exact, so a formula with a model
+runs no scan.
+
 `Dyadic` appears only in the returned `SFactor` and `MinimizeOutcome`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .checks import VerdictKind, check_coefficient_bound
+from .checks import check_coefficient_bound  # noqa: F401  unused; the benchmark tracer wraps minimizer.check_coefficient_bound
 from .dyadic import Dyadic, ZERO
 from .pseudo_boolean import PBForm, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme
@@ -51,6 +61,7 @@ __all__ = [
 
 SUPPORT_LIMIT = 24
 S_BLOCK = 1 << 16  # most +-1 support assignments tabulated at once
+S_CACHE = 1 << 20  # most basis entries the per-depth S tables of one search keep
 
 
 class BranchLimitExceeded(RuntimeError):
@@ -83,91 +94,99 @@ class SFactor:
         return "iii"
 
 
-class _Terms(NamedTuple):
-    """What the S-table and both folds on one variable share, indexed without it."""
+class _Layout:
+    """The root form as one flat vector, and the slots each depth's fold moves.
 
-    lam_var: int  # lam of the variable
-    rest: np.ndarray  # the other columns of the parent form, ascending
-    lam: np.ndarray  # lam on `rest`
-    mu_row: np.ndarray  # mu between the variable and `rest`
-    mu: np.ndarray  # mu on `rest` x `rest`
-    pairs: np.ndarray  # (j, k) left by the triples on the variable
-    pair_vals: np.ndarray  # their nu values
-    nu_delta: np.ndarray  # the same values as a symmetric matrix on `rest`
-    nu_idx: np.ndarray  # the triples without the variable
-    nu_val: np.ndarray
+    `rank[v]` is the depth at which v is fixed.  A monomial is folded at the
+    depth of its first fixed variable v, while its other variables are
+    free.  Depth d's slots are one run of `src`/`dst`: lam_v, then mu_vj
+    for j in R_d (ascending), then nu_vjk; `pos` holds each triple's j and
+    k as positions in R_d.  S = -lam_v + sum mu_vj y_j - sum nu_vjk y_j y_k
+    reads exactly the src slots.
+    """
+
+    def __init__(self, p: PBForm, rank: np.ndarray):
+        n, tri = p.n, p.nu_idx
+        i, j = np.nonzero(p.mu)
+        i, j = i[i < j], j[i < j]
+        # every pair whose mu can be nonzero at some node: nonzero at the
+        # root, or inside a root triple
+        keys = np.sort(np.concatenate([i * n + j, (tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]]).ravel()]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # not np.unique, which imports numpy.ma
+        a, b = keys // n, keys % n
+        self.keys, self.tri = keys, tri  # the pairs (i * n + j, i < j) and triples of the slots
+        self.c = np.concatenate([[p.const], p.lam, p.mu[a, b], p.nu_val])
+
+        a_first = rank[a] < rank[b]
+        pair_depth = np.where(a_first, rank[a], rank[b])
+        other = np.where(a_first, b, a)
+        lead = rank[tri].argmin(axis=1)
+        tri_depth = rank[tri[np.arange(len(tri)), lead]]
+        jk = tri[np.arange(3) != lead[:, None]].reshape(-1, 2)
+        pair_at = np.sort(pair_depth * n + other)  # the pairs by depth, then other
+        pos = np.searchsorted(pair_at, tri_depth[:, None] * n + jk) - np.searchsorted(pair_at, tri_depth * n)[:, None]
+
+        P, T = len(keys), len(tri)
+        depth = np.concatenate([rank, pair_depth, tri_depth])
+        kind = np.repeat([0, 1, 2], [n, P, T])  # lam, mu, nu
+        by_depth = np.lexsort((np.concatenate([np.zeros(n, np.int64), other, np.zeros(T, np.int64)]), kind, depth))
+        self.src = np.arange(1, 1 + n + P + T)[by_depth]
+        self.dst = np.concatenate(
+            [np.zeros(n, np.int64), 1 + other, 1 + n + np.searchsorted(keys, jk[:, 0] * n + jk[:, 1])]
+        )[by_depth]
+        self.pos = np.concatenate([np.zeros((n + P, 2), np.int64), pos])[by_depth]
+        self.start = np.searchsorted(depth[by_depth], np.arange(n + 1))
+        self.r = np.bincount(pair_depth, minlength=n)
+
+    def slots(self, d: int):
+        """(src, dst, |R_d|, pos) of the fold at depth d."""
+        lo, hi, r = self.start[d], self.start[d + 1], self.r[d]
+        return self.src[lo:hi], self.dst[lo:hi], int(r), self.pos[lo + 1 + r : hi]
 
 
-def _terms_on(p: PBForm, var: int) -> _Terms:
-    """Split p's terms at `var`, once per search node."""
-    hit = p.nu_idx == var
-    on = hit.any(axis=1)
-    shifted = p.nu_idx - (p.nu_idx > var)
-    pairs = shifted[on][~hit[on]].reshape(-1, 2)
-    pair_vals = p.nu_val[on]
-    rest = np.arange(p.n - 1)
-    rest[var:] += 1
-    nu_delta = np.zeros((p.n - 1, p.n - 1), dtype=np.int64)
-    nu_delta[pairs[:, 0], pairs[:, 1]] = pair_vals
-    nu_delta[pairs[:, 1], pairs[:, 0]] = pair_vals
-    return _Terms(
-        int(p.lam[var]),
-        rest,
-        p.lam[rest],
-        p.mu[var, rest],
-        p.mu[rest[:, None], rest],
-        pairs,
-        pair_vals,
-        nu_delta,
-        shifted[~on],
-        p.nu_val[~on],
-    )
+def _basis(k: int, pos: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the +-1 matrix with S = basis @ [lam, mu (k), nu].
+
+    Column t is -(-1)**popcount(code & mask_t).  The masks are 0 for the
+    constant -1, bit b for y_b (code bit b set means y_b = +1), and the
+    bits of a triple's two positions in `pos` for -y_j y_k.
+    """
+    masks = np.concatenate([[0], 1 << np.arange(k), (1 << pos[:, 0]) | (1 << pos[:, 1])])
+    odd = np.bitwise_count(np.arange(start, stop)[:, None] & masks) & 1
+    return odd.astype(np.int64) * 2 - 1
 
 
-def _s_support(t: _Terms) -> np.ndarray:
-    """Positions in `t.rest` that S depends on, ascending; at most SUPPORT_LIMIT."""
-    in_support = t.mu_row != 0
-    in_support[t.pairs] = True
-    support = np.flatnonzero(in_support)
+def _exact_s(cs: np.ndarray, r: int, pos: np.ndarray):
+    """(support positions in R, coefficients, triple positions) of S over its exact support.
+
+    `cs` is [lam_v, mu over R, nu] as `_Layout.slots` orders it.  Raises
+    ValueError when the support exceeds SUPPORT_LIMIT.
+    """
+    keep = cs[1 : 1 + r] != 0
+    keep[pos] = True  # every live triple is nonzero
+    support = np.flatnonzero(keep)
     if len(support) > SUPPORT_LIMIT:
         raise ValueError(f"S-factor support {len(support)} exceeds limit {SUPPORT_LIMIT}")
-    return support
+    coefs = np.concatenate([cs[:1], cs[1 + support], cs[1 + r :]])
+    return support, coefs, (np.cumsum(keep) - 1)[pos]
 
 
-def _s_blocks(t: _Terms, support: np.ndarray) -> Iterator[np.ndarray]:
-    """Scaled S over every +-1 assignment of `support`, S_BLOCK codes at a time.
+def _s_blocks(k: int, pos: np.ndarray, coefs: np.ndarray) -> Iterator[np.ndarray]:
+    """Scaled S at every +-1 assignment of k support variables, in code order.
 
-    S(y) = -lam_var + sum_j mu_var,j y_j - sum nu_var,j,k y_j y_k; value
-    `code` has bit b set when support[b] is +1.  Exact int64 at the form's
-    scale.  No sign matrix holds more than S_BLOCK rows, so memory stays
+    At most S_BLOCK assignments are tabulated at once, so memory stays
     bounded at any support size.
     """
-    k = len(support)
-    mu_row = t.mu_row[support]
-    pos = np.searchsorted(support, t.pairs)
     for start in range(0, 1 << k, S_BLOCK):
-        codes = np.arange(start, min(start + S_BLOCK, 1 << k))
-        Y = ((codes[:, None] >> np.arange(k)) & 1) * 2 - 1
-        yield Y @ mu_row - (Y[:, pos[:, 0]] * Y[:, pos[:, 1]]) @ t.pair_vals - t.lam_var
+        yield _basis(k, pos, start, min(start + S_BLOCK, 1 << k)) @ coefs
 
 
-def _fold(p: PBForm, value: int, t: _Terms) -> PBForm:
-    """The form of u with the variable of `t` fixed to `value` (+-1), its column dropped.
-
-    Substituting into u = C - lam.x + mu-terms - nu-terms gives C - a lam_v,
-    lam_j - a mu_vj, and mu_jk - a nu_vjk on the pairs the triples on v
-    leave; the other triples keep their values.  Values stay at p's scale.
-    """
-    return PBForm(
-        n=p.n - 1,
-        const=p.const - value * t.lam_var,
-        lam=t.lam - value * t.mu_row,
-        mu=t.mu - value * t.nu_delta,
-        nu_idx=t.nu_idx,
-        nu_val=t.nu_val,
-        scale_exp=p.scale_exp,
-        weight_kind=p.weight_kind,
-    )
+def _fold(c: np.ndarray, src: np.ndarray, dst: np.ndarray, cs: np.ndarray, value: int) -> np.ndarray:
+    """The flat form `c` with x_v = value; `src`/`dst` are v's slots and images, cs = c[src]."""
+    child = c.copy()
+    child[dst] -= value * cs
+    child[src] = 0
+    return child
 
 
 def s_factor(s: Scheme, var: int) -> SFactor:
@@ -180,10 +199,14 @@ def s_factor(s: Scheme, var: int) -> SFactor:
     if not (0 <= var < s.n):
         raise IndexError(f"column {var} out of range (n={s.n})")
     p = pb_coefficients(s, "canonical")
-    t = _terms_on(p, var)
-    support = _s_support(t)
-    vals = np.concatenate(list(_s_blocks(t, support)))
-    support = t.rest[support]
+    rank = np.arange(1, s.n + 1)
+    rank[var:] -= 1
+    rank[var] = 0  # var first, the others after it in ascending order
+    layout = _Layout(p, rank)
+    src, dst, r, pos = layout.slots(0)
+    support, coefs, pos = _exact_s(layout.c[src], r, pos)
+    vals = np.concatenate(list(_s_blocks(len(support), pos, coefs)))
+    support = dst[1 + support] - 1  # the images of mu_vj are the lam_j
     e = p.scale_exp
     table = {
         kernels.decode_assignment(code, len(support)): Dyadic(v, e)
@@ -223,56 +246,84 @@ class MinimizeOutcome:
     shortcut_events: tuple[dict, ...]
 
 
+class _Scan(NamedTuple):
+    """A shortcut hit's deferred scan: the rows left at depth d."""
+
+    rows: np.ndarray
+    d: int
+
+
+class _Min(NamedTuple):
+    """The first of two results unless the second's value is strictly smaller."""
+
+    first: tuple
+    second: tuple
+
+
+# A search result is (value, exact, chain).  An exact result's value is the
+# least violated-clause count below its node; a deferred one's is a lower
+# bound >= 1.  `chain` is None, a step (var, value, case, chain), a `_Scan`
+# or a `_Min`.
+
+
 class _Search:
-    def __init__(self, cells: np.ndarray, order: list[int], shortcut: bool, branch_limit: int | None):
+    def __init__(self, p: PBForm, cells: np.ndarray, order: list[int], shortcut: bool, branch_limit: int | None):
+        self.rank = np.empty(p.n, dtype=np.int64)
+        self.rank[order] = np.arange(p.n)
+        self.layout = _Layout(p, self.rank)
+        self.scale_exp = p.scale_exp
         self.cells = cells
+        self.by_depth = cells[:, order]
+        # the cells each row has at depth d and beyond
+        self.width = np.cumsum(self.by_depth[:, ::-1] != 0, axis=1)[:, ::-1]
         self.order = order
+        self.levels: list = [None] * p.n
+        self.cache_left = S_CACHE
         self.shortcut = shortcut
         self.branch_limit = branch_limit
         self.branch_count = 0
         self.shortcut_hits = 0
         self.events: list[dict] = []
 
-    def run(self, p: PBForm, col_ids: list[int], path: list[tuple[int, int]]):
-        """(least violated-clause count, fixed values, trace) below the form `p`.
+    def level(self, d: int):
+        """(src, dst, R size, triple positions, cached basis or None) at depth d."""
+        if self.levels[d] is None:
+            src, dst, r, pos = self.layout.slots(d)
+            basis = None
+            size = (1 << r) * len(src)
+            if (1 << r) <= S_BLOCK and size <= self.cache_left:
+                self.cache_left -= size
+                basis = _basis(r, pos, 0, 1 << r)
+            self.levels[d] = (src, dst, r, pos, basis)
+        return self.levels[d]
 
-        `p` is the root-scaled form of the formula left after fixing the
-        (column, value) pairs of `path`; `col_ids` are its columns.
+    def run(self, c: np.ndarray, d: int, values: list[int]):
+        """The search result below the node with form `c` at depth `d`.
+
+        `c` is the root-scaled flat form of the formula left after fixing
+        order[:d] to `values`.
         """
-        if p.const == 0:
-            return 0, {}, []  # every clause adds a positive weight to C
-        if not col_ids:
+        const = int(c[0])
+        if const == 0:
+            return 0, True, None  # every clause adds a positive weight to C
+        if d == len(self.order):
             # only empty clauses can remain; each contributes exactly 1
-            return p.const >> p.scale_exp, {}, []
+            return const >> self.scale_exp, True, None
         if self.shortcut:
-            verdict = check_coefficient_bound(p)
-            if verdict.kind is VerdictKind.UNSAT_CERTIFIED:
-                # the grid chained `assign` calls would give: rows no fixed
-                # value satisfies, columns in `col_ids` order
-                cols, vals = [c for c, _ in path], [v for _, v in path]
-                cells = self.cells[~(self.cells[:, cols] == vals).any(axis=1)][:, col_ids]
-                self.shortcut_hits += 1
-                self.events.append(
-                    {
-                        "constant": verdict.evidence["constant"],
-                        "mass": verdict.evidence["mass"],
-                        "scale": 1 << int(np.count_nonzero(cells, axis=1).max()),
-                        "vars_left": len(col_ids),
-                    }
-                )
-                _, u_min, min_code, _, _ = kernels.assignment_scan(cells)
-                values = kernels.decode_assignment(int(min_code), len(col_ids))
-                fixed = {col_ids[j]: values[j] for j in range(len(col_ids))}
-                return int(u_min), fixed, [
-                    {"case": "shortcut-scan", "vars_left": len(col_ids)}
-                ]
+            mass = int(np.abs(c[1:]).sum())
+            if mass < const:
+                return self.hit(const, mass, d, values)
 
-        var = self.order[len(self.order) - len(col_ids)]
-        local = col_ids.index(var)
-        t = _terms_on(p, local)
-        s_min, s_max = math.inf, -math.inf
-        for vals in _s_blocks(t, _s_support(t)):
-            s_min, s_max = min(s_min, vals.min()), max(s_max, vals.max())
+        src, dst, r, pos, basis = self.level(d)
+        cs = c[src]
+        if basis is not None:
+            vals = basis @ cs
+            s_min, s_max = vals.min(), vals.max()
+        else:
+            s_min, s_max = np.inf, -np.inf
+            support, coefs, spos = _exact_s(cs, r, pos)
+            for vals in _s_blocks(len(support), spos, coefs):
+                s_min, s_max = min(s_min, vals.min()), max(s_max, vals.max())
         if s_min >= 0:
             case, choices = "i", (-1,)
         elif s_max <= 0:
@@ -285,17 +336,66 @@ class _Search:
                     f"exceeded branch limit {self.branch_limit}; no answer returned"
                 )
 
+        var = self.order[d]
         best = None
-        rest_ids = col_ids[:local] + col_ids[local + 1 :]
         for value in choices:
-            child = _fold(p, value, t)
-            u_val, fixed, trace = self.run(child, rest_ids, path + [(var, value)])
-            cand = (u_val, {var: value, **fixed}, [{"var": var, "case": case, "value": value}] + trace)
-            if best is None or cand[0] < best[0]:
-                best = cand
+            u, exact, chain = self.run(_fold(c, src, dst, cs, value), d + 1, values + [value])
+            cand = (u, exact, (var, value, case, chain))
+            if best is None or (exact and u < best[0]):
+                best = cand  # an exact value below the best's value or bound
+            elif not (best[1] and u >= best[0]):
+                best = (min(best[0], u), False, _Min(best, cand))
             if best[0] == 0:
                 break  # zero is a global lower bound; nothing can beat it
         return best
+
+    def hit(self, const: int, mass: int, d: int, values: list[int]):
+        """Record a shortcut hit and defer its scan of the remaining grid.
+
+        The grid is the one chained `assign` calls would give: the rows no
+        fixed value satisfies, the free columns in ascending order.
+        """
+        rows = ~(self.by_depth[:, :d] == values).any(axis=1)
+        e = self.scale_exp
+        self.shortcut_hits += 1
+        self.events.append(
+            {
+                "constant": Dyadic(const, e),
+                "mass": Dyadic(mass, e),
+                "scale": 1 << int(self.width[rows, d].max()),
+                "vars_left": len(self.order) - d,
+            }
+        )
+        return -((mass - const) >> e), False, _Scan(rows, d)
+
+    def force(self, result):
+        """(least violated-clause count, fixed values, trace) of a result.
+
+        Runs the deferred scans the result needs.  A scan covers only the
+        free columns its rows use; the others take -1, which is what the
+        full scan's smallest-code tie-break picks.
+        """
+        u, _, chain = result
+        fixed, trace = {}, []
+        while type(chain) is tuple:
+            var, value, case, chain = chain
+            fixed[var] = value
+            trace.append({"var": var, "case": case, "value": value})
+        if type(chain) is _Scan:
+            cells = self.cells[chain.rows]
+            used = np.flatnonzero(cells.any(axis=0) & (self.rank >= chain.d))
+            _, u, code, _, _ = kernels.assignment_scan(cells[:, used])
+            fixed.update(zip(used.tolist(), kernels.decode_assignment(int(code), len(used))))
+            trace.append({"case": "shortcut-scan", "vars_left": len(self.order) - chain.d})
+        elif type(chain) is _Min:
+            first = self.force(chain.first)
+            if chain.second[0] < first[0]:
+                second = self.force(chain.second)
+                first = second if second[0] < first[0] else first
+            u = first[0]
+            fixed.update(first[1])
+            trace += first[2]
+        return u, fixed, trace
 
 
 def minimize_u(
@@ -321,8 +421,8 @@ def minimize_u(
         if sorted(order) != list(range(s.n)):
             raise ValueError("elimination order must be a permutation of all columns")
 
-    search = _Search(s.cells, order, shortcut=shortcut, branch_limit=branch_limit)
-    u_min, fixed, trace = search.run(pb_coefficients(s, "canonical"), list(range(s.n)), [])
+    search = _Search(pb_coefficients(s, "canonical"), s.cells, order, shortcut=shortcut, branch_limit=branch_limit)
+    u_min, fixed, trace = search.force(search.run(search.layout.c, 0, []))
     minimizer = tuple(fixed.get(j, -1) for j in range(s.n))
 
     if unsat_count_direct(s, minimizer) != u_min:

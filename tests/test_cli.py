@@ -329,3 +329,19 @@ def test_grid_too_large_to_allocate_is_an_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_minimize_two_units_over_40_columns_answers_at_once():
+    import time
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "satscheme.cli", "minimize"],
+        input="p cnf 40 2\n1 0\n-1 0\n",
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 20, proc.stderr
+    assert json.loads(proc.stdout)["u_min"] == "1"

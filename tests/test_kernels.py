@@ -153,3 +153,17 @@ def test_backend_is_numpy():
 def test_decode_assignment():
     assert kernels.decode_assignment(0, 3) == (-1, -1, -1)
     assert kernels.decode_assignment(5, 3) == (1, -1, 1)
+
+
+def test_scan_without_rows_matches_naive_scan():
+    for n in range(13):
+        s = Scheme.empty(n)
+        ref = naive_scan(s)
+        count, u_min, min_code, hist, sols = kernels.assignment_scan(s.cells, collect=True)
+        assert count == ref.count == 1 << n
+        assert u_min == ref.u_min == 0
+        assert kernels.decode_assignment(min_code, n) == ref.witness
+        assert hist.dtype == np.int64 and hist.tolist() == [ref.u_histogram[0]]
+        assert sols.dtype == np.int64
+        assert tuple(kernels.decode_assignment(int(c), n) for c in sols) == ref.solutions
+        assert kernels.assignment_scan(s.cells)[4].tolist() == []

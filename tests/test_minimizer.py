@@ -174,6 +174,27 @@ def _folding_scheme(rng: random.Random) -> Scheme:
     return Scheme.from_rows(rows, n=s.n)
 
 
+def _flat_in_root_indexing(layout, want, var, shift):
+    """`want`, the form of the formula with column `var` removed, laid out
+    like the root's flat vector and rescaled to the root's scale.  Every
+    term of `want` must have a slot there."""
+    n = want.n + 1
+    root = [j for j in range(n) if j != var]  # want's column j is root[j]
+    c = np.zeros_like(layout.c)
+    c[0] = want.const << shift
+    c[1 + np.array(root, dtype=int)] = want.lam << shift
+    pair_slot = {(int(k) // n, int(k) % n): 1 + n + t for t, k in enumerate(layout.keys)}
+    tri_slot = {tuple(t): 1 + n + len(layout.keys) + i for i, t in enumerate(layout.tri.tolist())}
+    for j, k in zip(*np.nonzero(np.triu(want.mu))):
+        assert (root[j], root[k]) in pair_slot
+        c[pair_slot[root[j], root[k]]] = int(want.mu[j, k]) << shift
+    for t, val in zip(want.nu_idx.tolist(), want.nu_val.tolist()):
+        key = tuple(root[j] for j in t)
+        assert key in tri_slot
+        c[tri_slot[key]] = val << shift
+    return c
+
+
 def test_fold_equals_rebuilt_child_form():
     rng = random.Random(401)
     pairs_cancelled = triples_cancelled = 0
@@ -181,17 +202,19 @@ def test_fold_equals_rebuilt_child_form():
         s = _folding_scheme(rng)
         p = pb_coefficients(s)
         var, value = rng.randrange(s.n), rng.choice((-1, 1))
-        got = minimizer._fold(p, value, minimizer._terms_on(p, var))
+        rank = np.array([0 if j == var else j + 1 for j in range(s.n)])
+        layout = minimizer._Layout(p, rank)
+        src, dst, _, _ = layout.slots(0)
+        got = minimizer._fold(layout.c, src, dst, layout.c[src], value)
         want = pb_coefficients(assign(s, var, value == 1))
         shift = p.scale_exp - want.scale_exp
         assert shift >= 0
-        assert got.n == want.n == s.n - 1
-        assert got.scale_exp == p.scale_exp
-        assert got.const == want.const << shift
-        assert got.lam.tolist() == (want.lam << shift).tolist()
-        assert got.mu.tolist() == (want.mu << shift).tolist()
-        assert got.nu_idx.tolist() == want.nu_idx.tolist()
-        assert got.nu_val.tolist() == (want.nu_val << shift).tolist()
+        assert got.tolist() == _flat_in_root_indexing(layout, want, var, shift).tolist()
+        # the dead slots, the monomials on `var`, are 0
+        on_var = [1 + var]
+        on_var += [1 + s.n + t for t, k in enumerate(layout.keys) if var in (k // s.n, k % s.n)]
+        on_var += [1 + s.n + len(layout.keys) + i for i, t in enumerate(layout.tri.tolist()) if var in t]
+        assert sorted(src.tolist()) == on_var and not got[on_var].any()
         together = np.abs(s.cells.astype(int)).T @ np.abs(s.cells.astype(int)) != 0
         np.fill_diagonal(together, False)
         pairs_cancelled += int((together & (p.mu == 0)).any())
@@ -384,3 +407,83 @@ def test_s_table_memory_bounded_at_support_18():
         tracemalloc.stop()
     assert out.u_min == Dyadic(0)
     assert peak < 32 * 2**20
+
+
+def test_s_factor_support_over_limit_raises():
+    s = _star_scheme(26)
+    message = "S-factor support 26 exceeds limit 24"
+    with pytest.raises(ValueError, match=message):
+        minimize_u(s)
+    with pytest.raises(ValueError, match=message):
+        s_factor(s, 0)
+
+
+def _band_scheme(n: int, width: int) -> Scheme:
+    """Clauses (x_i or x_j) for 0 < j - i <= width: fixing x_i leaves R_i with
+    `width` variables until the last columns, and every S forces x = +1."""
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, min(n, i + width + 1)):
+            row = [0] * n
+            row[i] = row[j] = 1
+            rows.append(row)
+    return Scheme.from_rows(rows, n=n)
+
+
+def test_s_table_cache_budget_at_n_32():
+    import tracemalloc
+
+    # 17 depths of 2**15-row tables, 76 MB if every one were kept
+    s = _band_scheme(32, 15)
+    tracemalloc.start()
+    try:
+        out = minimize_u(s, shortcut=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.u_min == Dyadic(0) and out.minimizer == (1,) * 31 + (-1,)
+    assert out.branch_count == 0 and len(out.trace) == 31
+    assert peak < 32 * 2**20
+
+
+# --- deferred shortcut scans ----------------------------------------------------
+
+def test_deferred_scans_run_only_when_a_value_decides(monkeypatch):
+    scans = []
+    full_scan = kernels.assignment_scan
+
+    def counting_scan(fmat, collect=False):
+        scans.append(fmat.shape)
+        return full_scan(fmat, collect)
+
+    monkeypatch.setattr(kernels, "assignment_scan", counting_scan)
+    rng = random.Random(431)
+    total_scans = total_hits = satisfiable = 0
+    for _ in range(1000):
+        s = random_scheme(rng, n_max=10, m_max=35, empty_row_prob=rng.choice((0.0, 0.05)))
+        order = list(range(s.n)) if rng.random() < 0.5 else rng.sample(range(s.n), s.n)
+        scans.clear()
+        out = minimize_u(s, order=order)
+        assert len(scans) <= out.shortcut_hits
+        if out.satisfiable:
+            assert not scans
+        total_scans += len(scans)
+        total_hits += out.shortcut_hits
+        satisfiable += out.satisfiable
+    assert 200 < satisfiable < 800
+    assert 0 < total_scans < total_hits  # some hits are never scanned
+
+
+def test_shortcut_scan_covers_only_the_columns_its_rows_use():
+    import time
+
+    # the root's shortcut fires with 40 free columns, of which the rows use 1
+    s = Scheme.from_rows([[1] + [0] * 39, [-1] + [0] * 39])
+    start = time.perf_counter()
+    out = minimize_u(s)
+    assert time.perf_counter() - start < 2
+    assert out.u_min == Dyadic(1) and out.minimizer == (-1,) * 40
+    assert out.trace == ({"case": "shortcut-scan", "vars_left": 40},)
+    assert out.shortcut_events == (
+        {"constant": Dyadic(1), "mass": Dyadic(0), "scale": 2, "vars_left": 40},
+    )
