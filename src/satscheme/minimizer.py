@@ -147,13 +147,12 @@ class _Layout:
 def _basis(k: int, pos: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the +-1 matrix with S = basis @ [lam, mu (k), nu].
 
-    Column t is -(-1)**popcount(code & mask_t).  The masks are 0 for the
-    constant -1, bit b for y_b (code bit b set means y_b = +1), and the
-    bits of a triple's two positions in `pos` for -y_j y_k.
+    Row `code` has y_b = +1 where bit b of code is set, else -1.  The
+    columns are the constant -1, each y_b, and -y_j y_k for each triple's
+    two positions in `pos`.
     """
-    masks = np.concatenate([[0], 1 << np.arange(k), (1 << pos[:, 0]) | (1 << pos[:, 1])])
-    odd = np.bitwise_count(np.arange(start, stop)[:, None] & masks) & 1
-    return odd.astype(np.int64) * 2 - 1
+    y = ((np.arange(start, stop)[:, None] >> np.arange(k)) & 1) * 2 - 1
+    return np.concatenate([np.full((stop - start, 1), -1), y, -(y[:, pos[:, 0]] * y[:, pos[:, 1]])], axis=1)
 
 
 def _exact_s(cs: np.ndarray, r: int, pos: np.ndarray):
@@ -274,8 +273,6 @@ class _Search:
         self.scale_exp = p.scale_exp
         self.cells = cells
         self.by_depth = cells[:, order]
-        # the cells each row has at depth d and beyond
-        self.width = np.cumsum(self.by_depth[:, ::-1] != 0, axis=1)[:, ::-1]
         self.order = order
         self.levels: list = [None] * p.n
         self.cache_left = S_CACHE
@@ -362,7 +359,7 @@ class _Search:
             {
                 "constant": Dyadic(const, e),
                 "mass": Dyadic(mass, e),
-                "scale": 1 << int(self.width[rows, d].max()),
+                "scale": 1 << int(np.count_nonzero(self.by_depth[rows, d:], axis=1).max()),
                 "vars_left": len(self.order) - d,
             }
         )

@@ -394,6 +394,15 @@ def test_s_blocks_equal_unblocked(monkeypatch, block):
         assert minimize_u(s, shortcut=False) == off
 
 
+def test_s_tables_need_no_numpy_2_api(monkeypatch):
+    # pyproject allows numpy>=1.24; np.bitwise_count first appeared in 2.0
+    rng = random.Random(421)
+    schemes = [random_scheme(rng, n_max=9, m_max=16, m_min=1) for _ in range(20)] + [_star_scheme(10)]
+    before = [(s_factor(s, 0), minimize_u(s)) for s in schemes]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert [(s_factor(s, 0), minimize_u(s)) for s in schemes] == before
+
+
 def test_s_table_memory_bounded_at_support_18():
     import tracemalloc
 
