@@ -18,6 +18,16 @@ small integers (exact in float32 for m < 2**24, float64 beyond), and the
 cubic form's values are exact in float64 for dyadic coefficients with small
 exponents.
 
+An assignment scan over several chunks reads the minimum from the first
+chunk's plain product and only the histogram from the others.  Those
+multiply by a pair-packed low table, so product entry j is
+u[2j] + (m + 1) u[2j + 1]: an integer below (m + 1)**2 <= 2**16, exact in
+float32.  The product, cast and ``bincount`` (over (m + 1)**2 bins) then
+touch half the entries; only a chunk whose histogram holds a count below
+the current minimum is multiplied again by the plain table for its argmin.
+Single-chunk scans, ``collect`` scans, m >= 256 (more than 2**16 bins) and
+n = 1 (no low columns to pair) keep the plain product throughout.
+
 Assignment encoding: an assignment is an integer code in [0, 2**n); bit j set
 means x_j = +1 (true), clear means x_j = -1.
 """
@@ -34,8 +44,9 @@ __all__ = [
     "decode_assignment",
 ]
 
-# Codes per matrix product; a chunk spans max(1, _CHUNK_ENTRIES >> lo) high rows.
-_CHUNK_ENTRIES = 1 << 18
+# Codes per matrix product; a chunk spans max(1, _CHUNK_ENTRIES >> lo) high
+# rows.  Of 2**14..2**18, 2**15 scanned fastest (both scans, n = 17..20).
+_CHUNK_ENTRIES = 1 << 15
 _BLOCK_BITS = 16
 
 
@@ -76,6 +87,17 @@ def _falsified(pos: np.ndarray, neg: np.ndarray, start: int, stop: int, dtype) -
     return (true_lits == 0).astype(dtype)
 
 
+def _product(high: np.ndarray, low_t: np.ndarray) -> np.ndarray:
+    """`high @ low_t`, ignoring a stray "invalid" flag from the BLAS call.
+
+    The operands are finite 0/1, small-integer or dyadic tables, and the
+    product has raised the flag with exact results; in the assignment scan a
+    real NaN would still warn when cast to integers.
+    """
+    with np.errstate(invalid="ignore"):
+        return high @ low_t
+
+
 def assignment_scan(fmat: np.ndarray, collect: bool = False):
     """Scan all assignments of the clause matrix.
 
@@ -98,10 +120,25 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     hist = np.zeros(m + 1, np.int64)
     u_min, min_code = m + 1, -1
     sols = []
-    for start, stop in chunks:
+    bins = (m + 1) ** 2
+    # Later chunks only feed the histogram: one product entry holds the pair
+    # u[2j] + (m + 1) * u[2j + 1], one of at most 2**16 bins.
+    pair_t = None
+    if len(chunks) > 1 and not collect and lo and bins <= 1 << 16:
+        pair_t = low_t[:, 0::2] + (m + 1) * low_t[:, 1::2]
+    for i, (start, stop) in enumerate(chunks):
         high = _falsified(pos[:, lo:], neg[:, lo:], start, stop, dtype)
-        u = (high @ low_t).astype(np.intp).ravel()
-        hist += np.bincount(u, minlength=m + 1)
+        packed = i and pair_t is not None
+        if packed:
+            pairs = _product(high, pair_t).astype(np.intp).ravel()
+            joint = np.bincount(pairs, minlength=bins).reshape(m + 1, m + 1)
+            counts = joint.sum(0) + joint.sum(1)
+            hist += counts
+            if not counts[:u_min].any():
+                continue  # the chunk does not lower u_min
+        u = _product(high, low_t).astype(np.intp).ravel()
+        if not packed:
+            hist += np.bincount(u, minlength=m + 1)
         k = int(u.argmin())
         if u[k] < u_min:
             u_min, min_code = int(u[k]), (start << lo) + k
@@ -146,7 +183,7 @@ def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndar
     min_code = max_code = -1
     for start, stop in chunks:
         high = _monomials(support[:, lo:], start, stop) * coef
-        val = (high @ low_t).ravel()
+        val = _product(high, low_t).ravel()
         a, b = int(val.argmin()), int(val.argmax())
         if min_val is None or val[a] < min_val:
             min_val, min_code = float(val[a]), (start << lo) + a

@@ -67,22 +67,23 @@ def test_histogram_partials_match_clique_enumeration():
 
 
 def test_count_above_histogram_limit_enumerates_cliques():
-    # sparse n=25 formula: a chain of 2-clauses x_j -> x_{j+1} plus one unit
-    n = HISTOGRAM_N_LIMIT + 1
-    rows = []
-    for j in range(0, n - 1, 3):
-        row = [0] * n
-        row[j], row[j + 1] = -1, 1
-        rows.append(row)
-    unit = [0] * n
-    unit[0] = 1
-    rows.append(unit)
-    s = Scheme.from_rows(rows)
-    res = count_solutions(s)
-    assert res.cluster_count > 0
-    assert res.partials == count_by_cliques(s).partials
-    # the unit forces x1, which forces x2; each other 2-clause keeps 3 of 4
-    assert res.total == 3 ** (len(rows) - 2) * 2 ** (n - 2 * (len(rows) - 1))
+    # sparse formulas: a chain of 2-clauses x_j -> x_{j+1} plus one unit; at
+    # n=24 the partials come from a scan of many chunks, at n=25 from cliques
+    for n in (HISTOGRAM_N_LIMIT, HISTOGRAM_N_LIMIT + 1):
+        rows = []
+        for j in range(0, n - 1, 3):
+            row = [0] * n
+            row[j], row[j + 1] = -1, 1
+            rows.append(row)
+        unit = [0] * n
+        unit[0] = 1
+        rows.append(unit)
+        s = Scheme.from_rows(rows)
+        res = count_solutions(s)
+        assert (res.cluster_count > 0) == (n > HISTOGRAM_N_LIMIT)
+        assert res.partials == count_by_cliques(s).partials
+        # the unit forces x1, which forces x2; each other 2-clause keeps 3 of 4
+        assert res.total == 3 ** (len(rows) - 2) * 2 ** (n - 2 * (len(rows) - 1))
 
 
 def _powerset_count(s):

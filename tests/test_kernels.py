@@ -41,6 +41,10 @@ def _cubic_reference(n, lam, nu_idx, nu_val):
 
 def _assert_scan_matches(s: Scheme):
     count, u_min, min_code, hist, sols = kernels.assignment_scan(s.cells, collect=True)
+    # without `collect`, multi-chunk scans take the pair-packed histogram path
+    plain = kernels.assignment_scan(s.cells)
+    assert plain[:3] == (count, u_min, min_code)
+    assert np.array_equal(plain[3], hist) and plain[4].tolist() == []
     profile = kernels.assignment_profile(s.cells)
     assert count == int((profile == 0).sum())
     assert u_min == int(profile.min())
@@ -73,16 +77,20 @@ def test_assignment_scan_matches_references():
         ([[1, 0, -1, 0, 1], [0, 0, 0, 0, 0], [-1, -1, 0, 0, 0]], 5),
         ([[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1]], 7),  # only the high half
         ([[1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0]], 7),  # only the low half
+        ([[1]] * 9 + [[-1]] * 8, 1),  # lo = 0: no low columns to pair
     ],
 )
-def test_assignment_scan_edge_cases(rows, n):
-    _assert_scan_matches(Scheme.from_rows(rows, n=n))
+def test_assignment_scan_edge_cases(rows, n, monkeypatch):
+    s = Scheme.from_rows(rows, n=n)
+    _assert_scan_matches(s)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1)  # one high row per chunk
+    _assert_scan_matches(s)
 
 
 def test_assignment_scan_cross_chunk_tie():
-    # n=19 splits into 2**9 low codes and two chunks of high codes; x_18
-    # alone picks the chunk and no clause mentions it, so every violation
-    # count occurs in both chunks and the first chunk must win.
+    # n=19 splits into 2**9 low codes and several chunks of high codes; x_18
+    # alone picks the half and no clause mentions it, so every violation
+    # count occurs in both halves and the lower half must win.
     n = 19
     rows = [[0] * n for _ in range(4)]
     rows[0][12], rows[0][3] = 1, 1
@@ -106,6 +114,17 @@ def test_scans_across_many_chunks(monkeypatch):
         lam, nu_idx, nu_val = _random_cubic(rng, s.n)
         got = kernels.cubic_form_scan(s.n, lam, nu_idx, nu_val)
         assert got == _cubic_reference(s.n, lam, nu_idx, nu_val)
+    # pairs are packed while (m + 1)**2 <= 2**16 bins, i.e. up to m = 255
+    for m in (16, 100, 255, 256, 300):
+        s = random_scheme(rng, n_min=6, n_max=10, m_min=m, m_max=m, empty_row_prob=0.1)
+        _assert_scan_matches(s)
+    # a positive unit on the top variable, which no other clause mentions:
+    # each code of the upper half violates one clause fewer than its twin in
+    # the lower half, so a later chunk lowers u_min
+    rest = random_scheme(rng, n_min=7, n_max=7, m_min=30, m_max=30)
+    s = Scheme.from_rows([list(row) + [0] for row in rest.rows()] + [[0] * 7 + [1]], n=8)
+    _assert_scan_matches(s)
+    assert kernels.assignment_scan(s.cells)[2] >> 7 == 1
 
 
 def test_cubic_form_scan_matches_direct_evaluation():
