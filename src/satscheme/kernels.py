@@ -128,7 +128,7 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
         pair_t = low_t[:, 0::2] + (m + 1) * low_t[:, 1::2]
     for i, (start, stop) in enumerate(chunks):
         high = _falsified(pos[:, lo:], neg[:, lo:], start, stop, dtype)
-        packed = i and pair_t is not None
+        packed = i > 0 and pair_t is not None
         if packed:
             pairs = _product(high, pair_t).astype(np.intp).ravel()
             joint = np.bincount(pairs, minlength=bins).reshape(m + 1, m + 1)
