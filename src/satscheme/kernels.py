@@ -25,8 +25,10 @@ u[2j] + (m + 1) u[2j + 1]: an integer below (m + 1)**2 <= 2**16, exact in
 float32.  The product, cast and ``bincount`` (over (m + 1)**2 bins) then
 touch half the entries; only a chunk whose histogram holds a count below
 the current minimum is multiplied again by the plain table for its argmin.
-Single-chunk scans, ``collect`` scans, m >= 256 (more than 2**16 bins) and
-n = 1 (no low columns to pair) keep the plain product throughout.
+Packing needs at least 16 codes per bin, 16 (m + 1)**2 <= 2**n, and at most
+2**16 bins (m <= 255); with more bins per code the ``bincount`` and its sums
+cost more than the halved product saves.  Other scans, single-chunk scans
+and ``collect`` scans keep the plain product throughout.
 
 Assignment encoding: an assignment is an integer code in [0, 2**n); bit j set
 means x_j = +1 (true), clear means x_j = -1.
@@ -122,9 +124,9 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     sols = []
     bins = (m + 1) ** 2
     # Later chunks only feed the histogram: one product entry holds the pair
-    # u[2j] + (m + 1) * u[2j + 1], one of at most 2**16 bins.
+    # u[2j] + (m + 1) * u[2j + 1], one of `bins` values.
     pair_t = None
-    if len(chunks) > 1 and not collect and lo and bins <= 1 << 16:
+    if len(chunks) > 1 and not collect and 16 * bins <= 1 << min(n, 20):
         pair_t = low_t[:, 0::2] + (m + 1) * low_t[:, 1::2]
     for i, (start, stop) in enumerate(chunks):
         high = _falsified(pos[:, lo:], neg[:, lo:], start, stop, dtype)

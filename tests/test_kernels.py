@@ -41,7 +41,8 @@ def _cubic_reference(n, lam, nu_idx, nu_val):
 
 def _assert_scan_matches(s: Scheme):
     count, u_min, min_code, hist, sols = kernels.assignment_scan(s.cells, collect=True)
-    # without `collect`, multi-chunk scans take the pair-packed histogram path
+    # without `collect`, multi-chunk scans with few enough bins take the
+    # pair-packed histogram path
     plain = kernels.assignment_scan(s.cells)
     assert plain[:3] == (count, u_min, min_code)
     assert np.array_equal(plain[3], hist) and plain[4].tolist() == []
@@ -77,7 +78,7 @@ def test_assignment_scan_matches_references():
         ([[1, 0, -1, 0, 1], [0, 0, 0, 0, 0], [-1, -1, 0, 0, 0]], 5),
         ([[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1]], 7),  # only the high half
         ([[1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0]], 7),  # only the low half
-        ([[1]] * 9 + [[-1]] * 8, 1),  # lo = 0: no low columns to pair
+        ([[1]] * 9 + [[-1]] * 8, 1),  # lo = 0: an empty low half
     ],
 )
 def test_assignment_scan_edge_cases(rows, n, monkeypatch):
@@ -114,17 +115,18 @@ def test_scans_across_many_chunks(monkeypatch):
         lam, nu_idx, nu_val = _random_cubic(rng, s.n)
         got = kernels.cubic_form_scan(s.n, lam, nu_idx, nu_val)
         assert got == _cubic_reference(s.n, lam, nu_idx, nu_val)
-    # pairs are packed while (m + 1)**2 <= 2**16 bins, i.e. up to m = 255
-    for m in (16, 100, 255, 256, 300):
-        s = random_scheme(rng, n_min=6, n_max=10, m_min=m, m_max=m, empty_row_prob=0.1)
-        _assert_scan_matches(s)
     # a positive unit on the top variable, which no other clause mentions:
     # each code of the upper half violates one clause fewer than its twin in
-    # the lower half, so a later chunk lowers u_min
-    rest = random_scheme(rng, n_min=7, n_max=7, m_min=30, m_max=30)
-    s = Scheme.from_rows([list(row) + [0] for row in rest.rows()] + [[0] * 7 + [1]], n=8)
+    # the lower half, so a later packed chunk lowers u_min
+    rest = random_scheme(rng, n_min=11, n_max=11, m_min=10, m_max=10)
+    s = Scheme.from_rows([list(row) + [0] for row in rest.rows()] + [[0] * 11 + [1]], n=12)
     _assert_scan_matches(s)
-    assert kernels.assignment_scan(s.cells)[2] >> 7 == 1
+    assert kernels.assignment_scan(s.cells)[2] >> 11 == 1
+    # pairs are packed while 16 (m + 1)**2 <= 2**n and m <= 255: (13, 16),
+    # (18, 100) and (20, 255) are, the others are not; 16 chunks each
+    for n, m in ((13, 16), (13, 22), (18, 100), (20, 255), (9, 256), (9, 300)):
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1 << (n - 4))
+        _assert_scan_matches(random_scheme(rng, n_min=n, n_max=n, m_min=m, m_max=m, empty_row_prob=0.1))
 
 
 def test_cubic_form_scan_matches_direct_evaluation():
