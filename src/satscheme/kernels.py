@@ -8,15 +8,27 @@ optimal 2-constraint satisfaction and its implications", TCS 2005):
 * the variables split into a low half (the low ``n // 2`` code bits) and a
   high half;
 * per term (a clause, or a monomial of the cubic form) each half-assignment
-  gets one table entry for its part of the term;
+  gets one table entry for its part of the term; each half's table is built
+  once per scan, in float32 (exact for 0/1 entries and the small integer
+  counts behind them);
 * one matrix product of a chunk of high-half rows with the low-half table
   gives the value of every code in that chunk, in ascending code order.
 
-The high half is processed in chunks of about ``_CHUNK_ENTRIES`` codes, so
-memory stays flat at any n.  The products are exact: violation counts are
-small integers (exact in float32 for m < 2**24, float64 beyond), and the
-cubic form's values are exact in float64 for dyadic coefficients with small
-exponents.
+A scan of more than one chunk first merges terms that share a half-part
+(``_tables``): a term with no more literals (variables) in its high half than
+in its low half joins the terms with the same high part, whose low rows add
+up; any other term joins the terms with the same low part, whose high
+columns add up.  The product is unchanged, but its inner dimension K falls
+from the number of terms to the number of distinct parts: for terms of width
+<= 3 at most 2n + 2 for clauses and n + 2 for the cubic form.  Single-chunk
+scans skip the merge, which costs more than it saves there.
+
+The high half is processed in chunks of about ``_CHUNK_ENTRIES`` codes, and
+memory is bounded by the two half-tables: 2**lo and 2**(n - lo) rows of m
+(or K) entries.  The products are exact: violation counts and merged entries
+are integers at most m (exact in float32 for m < 2**24, float64 beyond), and
+the cubic form's values and merged entries are exact in float64 for dyadic
+coefficients with small exponents.
 
 An assignment scan over several chunks reads the minimum from the first
 chunk's plain product and only the histogram from the others.  Those
@@ -35,6 +47,8 @@ means x_j = +1 (true), clear means x_j = -1.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -64,10 +78,10 @@ def decode_assignment(code: int, n: int) -> tuple[int, ...]:
 
 # --- split-and-multiply scans ------------------------------------------------
 
-def _bits(start: int, stop: int, width: int) -> np.ndarray:
-    """0/1 matrix of the low `width` bits of the codes start..stop-1."""
-    codes = np.arange(start, stop, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(width, dtype=np.int64)) & 1).astype(np.float64)
+def _bits(width: int) -> np.ndarray:
+    """0/1 float32 matrix (2**width x width) of the bits of every half-code."""
+    codes = np.arange(1 << width, dtype=np.int64)
+    return ((codes[:, None] >> np.arange(width, dtype=np.int64)) & 1).astype(np.float32)
 
 
 def _chunks(n: int):
@@ -78,15 +92,66 @@ def _chunks(n: int):
     return lo, [(h, min(h + rows, high)) for h in range(0, high, rows)]
 
 
-def _falsified(pos: np.ndarray, neg: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:
-    """1 where half-codes start..stop-1 make no literal of a clause's half true.
+def _falsified(half: np.ndarray, dtype) -> np.ndarray:
+    """1 where a half-code makes no literal of a clause's half true.
 
-    `pos`/`neg` are the 0/1 positive/negative literal incidences (m x width)
-    of one half; the result is (stop - start) x m.
+    `half` is one half's columns (m x width) of the clause matrix; the result
+    is 2**width x m.  The true-literal counts are small integers, exact in
+    float32.
     """
-    bits = _bits(start, stop, pos.shape[1])
-    true_lits = bits @ (pos - neg).T + neg.sum(axis=1)
-    return (true_lits == 0).astype(dtype)
+    # bits @ half.T counts the set positive minus the set negative literals,
+    # and reaches -(negative literals) only when no literal is true
+    negatives = (half == -1).sum(axis=1, dtype=np.float32)
+    return (_bits(half.shape[1]) @ half.T.astype(np.float32) == -negatives).astype(dtype)
+
+
+def _monomials(half: np.ndarray) -> np.ndarray:
+    """+-1 value of each half-monomial at every half-code (2**width x terms).
+
+    `half` is one half's columns of the 0/1 variable incidence; a monomial is
+    -1 exactly when an odd number of its variables are -1.
+    """
+    # in place: each further full-size temporary of a large table cost page
+    # faults on every call, several times the arithmetic
+    sign = (_bits(half.shape[1]) @ half.T.astype(np.float32)).astype(np.int32)
+    sign += half.sum(axis=1, dtype=np.int32)
+    sign &= 1
+    sign *= -2
+    sign += 1
+    return sign.astype(np.float64)
+
+
+def _tables(parts: np.ndarray, lo: int, build, coef=None, merge: bool = False):
+    """Low (K x 2**lo) and high (2**hi x K) tables whose product is the scan.
+
+    Row t of `parts` is term t over the n variables, `build` makes one half's
+    table (a column per term), and the term's value is coef[t] (default 1)
+    times its two entries.  Without `merge` K is the number of terms; with
+    it, the terms that share a half-part (module docstring) become one
+    column: their entries in the other half add up, times coef, and the
+    shared half keeps the first member's entry.
+    """
+    low_part, high_part = parts[:, :lo], parts[:, lo:]
+    low, high = build(low_part), build(high_part)
+    if not merge:
+        return np.ascontiguousarray(low.T), high if coef is None else high * coef
+    by_high = np.count_nonzero(high_part, axis=1) <= np.count_nonzero(low_part, axis=1)
+    keys = np.where(by_high, _key(high_part), -1 - _key(low_part))
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    lead = np.zeros(len(keys), bool)
+    lead[first] = True
+    weight = 1 if coef is None else coef
+    terms = np.arange(len(keys))
+    onehot = np.zeros((len(first), len(keys)), low.dtype)
+    onehot[group, terms] = np.where(by_high, weight, lead)
+    low_t = _product(onehot, low.T)
+    onehot[group, terms] = np.where(by_high, lead, weight)
+    return low_t, _product(high, onehot.T)
+
+
+def _key(part: np.ndarray) -> np.ndarray:
+    """Base-3 key of each {-1, 0, 1} row; exact in int64 up to 39 columns."""
+    return (part.astype(np.int64) + 1) @ 3 ** np.arange(part.shape[1], dtype=np.int64)
 
 
 def _product(high: np.ndarray, low_t: np.ndarray) -> np.ndarray:
@@ -114,10 +179,8 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     if m == 0:  # every assignment is a model
         return 1 << n, 0, 0, np.array([1 << n], np.int64), np.arange(1 << n) if collect else np.empty(0, np.int64)
     lo, chunks = _chunks(n)
-    pos = (fmat == 1).astype(np.float64)
-    neg = (fmat == -1).astype(np.float64)
     dtype = np.float32 if m < (1 << 24) else np.float64
-    low_t = np.ascontiguousarray(_falsified(pos[:, :lo], neg[:, :lo], 0, 1 << lo, dtype).T)
+    low_t, table = _tables(fmat, lo, partial(_falsified, dtype=dtype), merge=len(chunks) > 1)
 
     hist = np.zeros(m + 1, np.int64)
     u_min, min_code = m + 1, -1
@@ -129,7 +192,7 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     if len(chunks) > 1 and not collect and 16 * bins <= 1 << min(n, 20):
         pair_t = low_t[:, 0::2] + (m + 1) * low_t[:, 1::2]
     for i, (start, stop) in enumerate(chunks):
-        high = _falsified(pos[:, lo:], neg[:, lo:], start, stop, dtype)
+        high = table[start:stop]
         packed = i > 0 and pair_t is not None
         if packed:
             pairs = _product(high, pair_t).astype(np.intp).ravel()
@@ -150,16 +213,6 @@ def assignment_scan(fmat: np.ndarray, collect: bool = False):
     return int(hist[0]), u_min, min_code, hist, sols
 
 
-def _monomials(support: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """+-1 value of each half-monomial at half-codes start..stop-1.
-
-    `support` is the 0/1 variable incidence (terms x width) of one half; a
-    monomial is -1 exactly when an odd number of its variables are -1.
-    """
-    set_bits = _bits(start, stop, support.shape[1]) @ support.T + support.sum(axis=1)
-    return 1.0 - 2.0 * (set_bits.astype(np.int64) & 1)
-
-
 def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndarray):
     """Extrema of sum(lam_j x_j) + sum(nu_t x_i x_j x_k) over all sign vectors.
 
@@ -174,18 +227,17 @@ def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndar
     support = np.zeros((n + len(nu_idx), n), np.int64)
     support[np.arange(n), np.arange(n)] = 1
     np.add.at(support, (np.arange(n, n + len(nu_idx))[:, None], nu_idx), 1)
-    support = (support % 2).astype(np.float64)
+    support %= 2
     coef = np.concatenate([lam, nu_val])
     keep = coef != 0
     support, coef = support[keep], coef[keep]
 
     lo, chunks = _chunks(n)
-    low_t = np.ascontiguousarray(_monomials(support[:, :lo], 0, 1 << lo).T)
+    low_t, table = _tables(support, lo, _monomials, coef, merge=len(chunks) > 1)
     min_val = max_val = None
     min_code = max_code = -1
     for start, stop in chunks:
-        high = _monomials(support[:, lo:], start, stop) * coef
-        val = _product(high, low_t).ravel()
+        val = _product(table[start:stop], low_t).ravel()
         a, b = int(val.argmin()), int(val.argmax())
         if min_val is None or val[a] < min_val:
             min_val, min_code = float(val[a]), (start << lo) + a

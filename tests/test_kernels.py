@@ -2,7 +2,9 @@
 profile, the nested-loop oracle reference, and a direct per-code evaluation
 of the cubic form."""
 
+import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -79,6 +81,13 @@ def test_assignment_scan_matches_references():
         ([[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1]], 7),  # only the high half
         ([[1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0]], 7),  # only the low half
         ([[1]] * 9 + [[-1]] * 8, 1),  # lo = 0: an empty low half
+        # merged tables: many clauses share one high part, or one low part
+        ([list(low) + [0, 0, 1] for low in itertools.product((-1, 0, 1), repeat=3)], 6),
+        ([[-1, 0, 0] + list(high) for high in itertools.product((-1, 0, 1), repeat=3)], 6),
+        # wholly in one half, widths 2 up to n, and empty rows
+        ([[1, -1, 1, -1, 0, 0, 0, 0], [0, 0, 0, 0, -1, 1, 1, 0], [0, 0, 0, 0, 1, 1, 1, 1],
+          [1, 1, 0, 0, 0, 0, 0, 0], [0] * 8, [1, -1, 1, -1, 1, 0, 0, 0],
+          [-1, 1, -1, 0, 1, 1, -1, 1], [1, 1, 1, 1, 1, 1, 1, 1], [0] * 8], 8),
     ],
 )
 def test_assignment_scan_edge_cases(rows, n, monkeypatch):
@@ -108,13 +117,28 @@ def test_assignment_scan_cross_chunk_tie():
 def test_scans_across_many_chunks(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1 << 3)
     rng = random.Random(131)
-    for _ in range(20):
-        s = random_scheme(rng, n_min=6, n_max=10, m_max=14, empty_row_prob=0.1)
+    for i in range(30):
+        # the last ten have widths up to n, so their merged tables hold wide parts
+        k_max = 3 if i < 20 else 10
+        s = random_scheme(rng, n_min=6, n_max=10, m_max=14, k_max=k_max, empty_row_prob=0.1)
         assert len(kernels._chunks(s.n)[1]) > 1
         _assert_scan_matches(s)
         lam, nu_idx, nu_val = _random_cubic(rng, s.n)
         got = kernels.cubic_form_scan(s.n, lam, nu_idx, nu_val)
         assert got == _cubic_reference(s.n, lam, nu_idx, nu_val)
+    # cubic terms whose merged rows cancel: x0 - x1 and x3 - x4 are 0 where
+    # the two agree, and a repeated triple with opposite signs is 0 throughout
+    # (times x5 = -1 at code 0 for the second, which must not read -0.0)
+    lam = np.array([0.5, -0.5, 0.0, 0.25, -0.25, 0.0, 0.0])
+    for nu_idx, nu_val in (
+        ([[0, 1, 2], [0, 1, 2]], [0.75, -0.75]),
+        ([[0, 1, 5], [0, 1, 5]], [0.75, -0.75]),
+        ([[0, 5, 6], [1, 5, 6], [2, 3, 4]], [-0.5, 0.5, 0.125]),
+    ):
+        nu_idx, nu_val = np.array(nu_idx), np.array(nu_val)
+        for form in ((lam, nu_idx, nu_val), (np.zeros(7), nu_idx, nu_val)):
+            got = kernels.cubic_form_scan(7, *form)
+            assert repr(got) == repr(_cubic_reference(7, *form))  # no -0.0
     # a positive unit on the top variable, which no other clause mentions:
     # each code of the upper half violates one clause fewer than its twin in
     # the lower half, so a later packed chunk lowers u_min
@@ -127,6 +151,42 @@ def test_scans_across_many_chunks(monkeypatch):
     for n, m in ((13, 16), (13, 22), (18, 100), (20, 255), (9, 256), (9, 300)):
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1 << (n - 4))
         _assert_scan_matches(random_scheme(rng, n_min=n, n_max=n, m_min=m, m_max=m, empty_row_prob=0.1))
+    # `collect` across the two chunks of the default size at n=16
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1 << 15)
+    assert len(kernels._chunks(16)[1]) == 2
+    rows = [[0] * 16 for _ in range(20)]
+    for row in rows:
+        for c in rng.sample(range(16), 3):
+            row[c] = rng.choice((1, -1))
+    s = Scheme.from_rows(rows, n=16)
+    _assert_scan_matches(s)
+    sols = kernels.assignment_scan(s.cells, collect=True)[4]
+    assert sols.min() < 1 << 15 <= sols.max()  # models in both chunks
+
+
+def test_merged_tables_stay_narrow():
+    # terms of width <= 3 merge into at most 2n + 2 clause columns (the empty
+    # part and each literal of either half) or n + 2 monomial columns
+    rng = random.Random(139)
+    for n in range(17, 21):
+        lo = n // 2
+        fmat = np.zeros((round(4.26 * n), n), np.int8)
+        for row in fmat:
+            row[rng.sample(range(n), 3)] = [rng.choice((1, -1)) for _ in range(3)]
+        clauses = partial(kernels._falsified, dtype=np.float32)
+        low_t, high = kernels._tables(fmat, lo, clauses, merge=True)
+        assert low_t.shape[0] == high.shape[1] <= 2 * n + 2
+        plain_low_t, plain_high = kernels._tables(fmat, lo, clauses)
+        assert np.array_equal(high @ low_t, plain_high @ plain_low_t)
+
+        lam, nu_idx, nu_val = _random_cubic(rng, n)
+        support = np.vstack([np.eye(n, dtype=np.int64), np.zeros((len(nu_idx), n), np.int64)])
+        support[np.arange(n, len(support))[:, None], nu_idx] = 1
+        coef = np.concatenate([lam, nu_val])
+        low_t, high = kernels._tables(support, lo, kernels._monomials, coef, merge=True)
+        assert low_t.shape[0] == high.shape[1] <= n + 2
+        plain_low_t, plain_high = kernels._tables(support, lo, kernels._monomials, coef)
+        assert np.array_equal(high @ low_t, plain_high @ plain_low_t)
 
 
 def test_cubic_form_scan_matches_direct_evaluation():
