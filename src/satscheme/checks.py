@@ -4,6 +4,8 @@ Each check returns a Verdict: a certified SAT/UNSAT conclusion with
 evidence, or Inconclusive.  Certifications must never contradict the
 brute-force oracle; anything resting on floating point keeps a safety
 margin and SAT is only ever certified on an explicitly re-checked witness.
+The resolution chain is the verdict of `transforms._eliminate`, the
+Davis-Putnam loop that `solve --method split` also runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from . import kernels, pt_solvers
 from .dyadic import Dyadic
 from .pseudo_boolean import PBForm, clause_mass, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme, Status, status
-from .transforms import resolve
+from .transforms import RESOLUTION_ROW_LIMIT, _eliminate
+from .transforms import resolve  # noqa: F401  unused; the benchmark tracer wraps checks.resolve
 
 __all__ = [
     "VerdictKind",
@@ -39,7 +42,6 @@ __all__ = [
 EPS = 1e-8
 _JACOBI_TOL = 1e-12
 EXACT_EIGEN_LIMIT = 24
-RESOLUTION_ROW_LIMIT = 200_000
 
 
 class VerdictKind(enum.Enum):
@@ -256,98 +258,23 @@ def check_resolution_chain(
 ) -> Verdict:
     """Davis-Putnam variable elimination, complete within a clause budget.
 
-    Each step replaces the clauses on one variable by the non-tautological
-    resolvents of its positive and negative clauses (`resolve`), which keeps
-    the formula satisfiable iff the input is (Davis & Putnam, JACM 1960);
-    exact duplicate clauses are dropped between steps.  A contradiction or
-    empty clause certifies UNSAT.  Running out of clauses certifies SAT:
-    the eliminated variables are set in reverse order so that each one's
-    clauses hold, and the witness is re-checked by a direct violation count.
-
-    By default the next variable is the one minimising |P|*|N| - |P| - |N|,
-    with P and N its positive and negative clauses (the clause-growth rule
-    of bounded variable elimination, Een & Biere, SAT 2005; ties go to the
-    lowest index), until every variable is gone.  An explicit `order` lists
+    The verdict of one `transforms._eliminate` run (least clause growth
+    first by default): UNSAT at an empty clause or contradiction, SAT with
+    the re-checked back-substituted witness.  An explicit `order` lists
     original column indices (any prefix of a permutation); clauses left
-    over the variables it does not name are inconclusive.  Before each step
-    the chain gives up (inconclusive) when |P|*|N| + |R|, which bounds the
-    next clause count, exceeds `row_limit`; nothing is built then.
+    over the variables it does not name are inconclusive, and so is a step
+    that would pass `row_limit` clauses.
     """
-    if order is not None:
-        order = [int(v) for v in order]
-        if len(set(order)) != len(order) or any(not 0 <= v < s.n for v in order):
-            raise ValueError("resolution order must be distinct column indices")
-    steps = s.n if order is None else len(order)
-    cur = s
-    col_ids = list(range(s.n))
-    eliminated = []  # (local column, original columns, clauses on it) per step
-    for step in range(steps + 1):
-        st = status(cur)
-        if st in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
-            return Verdict.unsat(step=step, pattern=st.value)
-        if cur.m == 0:
-            witness = _back_substitute(s.n, eliminated)
-            if unsat_count_direct(s, witness) != 0:
-                raise RuntimeError("internal error: back-substituted witness is not a model")
-            return Verdict.sat(step=step, witness=witness)
-        if step == steps:
-            break
-        n_pos = (cur.cells == 1).sum(axis=0)
-        n_neg = (cur.cells == -1).sum(axis=0)
-        if order is None:
-            idx = int(np.argmin(n_pos * n_neg - n_pos - n_neg))
-        else:
-            idx = col_ids.index(order[step])
-        pos, neg = int(n_pos[idx]), int(n_neg[idx])
-        if pos * neg + cur.m - pos - neg > row_limit:
-            return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}", final_rows=cur.m)
-        on_var = cur.cells[:, idx] != 0
-        eliminated.append((idx, np.array(col_ids), cur.cells[on_var]))
-        if on_var.any():
-            cur, _ = resolve(cur, idx)
-            cur = Scheme(_distinct_rows(cur.cells))
-        else:
-            cur = cur.delete_columns([idx])
-        col_ids.pop(idx)
-    return Verdict.inconclusive(final_rows=cur.m)
-
-
-def _distinct_rows(cells: np.ndarray) -> np.ndarray:
-    """The distinct rows of a clause grid, in the order of their keys.
-
-    Each block of up to 39 columns of a row becomes one base-3 int64 key,
-    (cells + 1) @ 3**j, exact because 3**39 < 2**63.  `np.lexsort` sorts
-    the rows by their keys, first block first, and equal neighbours go.
-    """
-    digits = cells.astype(np.int64) + 1
-    n = cells.shape[1]
-    keys = np.stack(
-        [
-            digits[:, j : j + 39] @ 3 ** np.arange(min(39, n - j), dtype=np.int64)
-            for j in range(0, max(n, 1), 39)
-        ]
-    )
-    order = np.lexsort(keys[::-1])
-    keys = keys[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return cells[order[first]]
-
-
-def _back_substitute(n: int, eliminated) -> tuple[int, ...]:
-    """A model from an elimination chain that ran out of clauses.
-
-    Going back through the steps, each variable becomes true exactly when
-    one of its positive clauses has no other true literal; the resolvents
-    guarantee no negative clause then needs it false.  Variables never
-    eliminated are set false.
-    """
-    x = np.full(n, -1, dtype=np.int8)
-    for idx, cols, clauses in reversed(eliminated):
-        others = np.delete(clauses, idx, axis=1) == x[np.delete(cols, idx)]
-        needy = clauses[~others.any(axis=1), idx]
-        x[cols[idx]] = 1 if (needy == 1).any() else -1
-    return tuple(x.tolist())
+    chain, witness, over_budget = _eliminate(s, order, row_limit)
+    step, last = len(chain) - 1, chain[-1]
+    if witness is not None:
+        return Verdict.sat(step=step, witness=witness)
+    pattern = status(last)
+    if pattern in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
+        return Verdict.unsat(step=step, pattern=pattern.value)
+    if over_budget:
+        return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}", final_rows=last.m)
+    return Verdict.inconclusive(final_rows=last.m)
 
 
 def run_all(s: Scheme) -> CheckReport:

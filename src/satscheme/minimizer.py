@@ -48,6 +48,7 @@ from .checks import check_coefficient_bound  # noqa: F401  unused; the benchmark
 from .dyadic import Dyadic, ZERO
 from .pseudo_boolean import PBForm, pb_coefficients, unsat_count_direct
 from .scheme_core import Scheme
+from .transforms import _check_permutation
 from .transforms import assign  # noqa: F401  unused; the benchmark tracer wraps minimizer.assign
 
 __all__ = [
@@ -414,9 +415,7 @@ def minimize_u(
     if order is None:
         order = list(range(s.n))
     else:
-        order = [int(v) for v in order]
-        if sorted(order) != list(range(s.n)):
-            raise ValueError("elimination order must be a permutation of all columns")
+        order = _check_permutation(order, s.n, "elimination")
 
     search = _Search(pb_coefficients(s, "canonical"), s.cells, order, shortcut=shortcut, branch_limit=branch_limit)
     u_min, fixed, trace = search.force(search.run(search.layout.c, 0, []))

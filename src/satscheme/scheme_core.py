@@ -137,9 +137,6 @@ class Scheme:
         for i in range(self.m):
             yield self.row(i)
 
-    def fill(self, i: int, j: int) -> Fill:
-        return Fill(int(self._cells[i, j]))
-
     def row_support(self, i: int) -> tuple[int, ...]:
         """Columns where row i has a fill."""
         return tuple(int(j) for j in np.nonzero(self._cells[i])[0])
@@ -148,9 +145,6 @@ class Scheme:
         """Number of literals in clause i."""
         return int(np.count_nonzero(self._cells[i]))
 
-    def column_fills(self, j: int) -> np.ndarray:
-        return self._cells[:, j]
-
     def max_clause_size(self) -> int:
         if self.m == 0:
             return 0
@@ -158,11 +152,6 @@ class Scheme:
 
     def has_empty_row(self) -> bool:
         return self.m > 0 and bool((np.count_nonzero(self._cells, axis=1) == 0).any())
-
-    def delete_rows(self, rows: Sequence[int]) -> "Scheme":
-        keep = np.ones(self.m, dtype=bool)
-        keep[list(rows)] = False
-        return Scheme(self._cells[keep])
 
     def delete_columns(self, cols: Sequence[int]) -> "Scheme":
         keep = np.ones(self.n, dtype=bool)

@@ -5,6 +5,9 @@ permutation.  Model-count preserving (solutions change coordinates): flip.
 Satisfiability preserving: remove_pure_columns, assign, accept_facts, split,
 resolve (both Davis-Putnam variable elimination), metavariable elimination
 and the READ-3 occurrence reduction.
+
+`_eliminate` is the one Davis-Putnam loop (`resolve`, then `drop_subsumed`);
+`metavariable_eliminate` and `checks.check_resolution_chain` both run it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scheme_core import Scheme, Status, _row_pairs, status
+from .scheme_core import Scheme, Status, _row_pairs, evaluate, status
 
 __all__ = [
     "SplitResult",
@@ -34,9 +37,11 @@ __all__ = [
     "metavariable_eliminate",
     "reduce_read3",
     "FULL_BLOW_UP_LIMIT",
+    "RESOLUTION_ROW_LIMIT",
 ]
 
 FULL_BLOW_UP_LIMIT = 20
+RESOLUTION_ROW_LIMIT = 20_000
 
 
 def flip(s: Scheme, mask: Iterable[int]) -> Scheme:
@@ -284,35 +289,102 @@ def split(s: Scheme, var: int) -> SplitResult:
     )
 
 
+def _eliminate(
+    s: Scheme, order: Sequence[int] | None = None, row_limit: int = RESOLUTION_ROW_LIMIT
+) -> tuple[list[Scheme], tuple[int, ...] | None, bool]:
+    """Davis-Putnam variable elimination with subsumption, within a clause budget.
+
+    Each step replaces the clauses on one variable by the non-tautological
+    resolvents of its positive and negative clauses (`resolve`), which keeps
+    the formula satisfiable iff the input is (Davis & Putnam, JACM 1960),
+    then drops subsumed and duplicate clauses (`drop_subsumed`).  The run
+    stops at an empty clause or a contradiction (UNSAT), or when the clauses
+    run out (SAT): the eliminated variables are then set in reverse order
+    so that each one's clauses hold, and the model is re-checked.
+
+    By default the next variable is the one minimising |P|*|N| - |P| - |N|,
+    with P and N its positive and negative clauses (the clause-growth rule
+    of bounded variable elimination, Een & Biere, SAT 2005; ties go to the
+    lowest index), until every variable is gone.  An explicit `order` lists
+    distinct original column indices.  Before each step the run stops when
+    |P|*|N| + |R|, which bounds the next clause count, exceeds `row_limit`;
+    nothing is built then.  Returns (chain, witness, over_budget): the input
+    and the scheme after each step, the model or None, and whether the
+    budget stopped the run.
+    """
+    if order is not None:
+        order = [int(v) for v in order]
+        if len(set(order)) != len(order) or any(not 0 <= v < s.n for v in order):
+            raise ValueError("elimination order must be distinct column indices")
+    steps = s.n if order is None else len(order)
+    chain = [s]
+    cur = s
+    col_ids = list(range(s.n))
+    eliminated = []  # (local column, original columns, clauses on it) per step
+    for step in range(steps + 1):
+        if status(cur) in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
+            break
+        if cur.m == 0:
+            witness = _back_substitute(s.n, eliminated)
+            if not evaluate(s, witness):
+                raise RuntimeError("internal error: back-substituted witness is not a model")
+            return chain, witness, False
+        if step == steps:
+            break
+        n_pos = (cur.cells == 1).sum(axis=0)
+        n_neg = (cur.cells == -1).sum(axis=0)
+        if order is None:
+            idx = int(np.argmin(n_pos * n_neg - n_pos - n_neg))
+        else:
+            idx = col_ids.index(order[step])
+        pos, neg = int(n_pos[idx]), int(n_neg[idx])
+        if pos * neg + cur.m - pos - neg > row_limit:
+            return chain, None, True
+        on_var = cur.cells[:, idx] != 0
+        eliminated.append((idx, np.array(col_ids), cur.cells[on_var]))
+        if on_var.any():
+            cur = drop_subsumed(resolve(cur, idx)[0])
+        else:
+            cur = cur.delete_columns([idx])
+        col_ids.pop(idx)
+        chain.append(cur)
+    return chain, None, False
+
+
+def _back_substitute(n: int, eliminated) -> tuple[int, ...]:
+    """A model from an elimination chain that ran out of clauses.
+
+    Going back through the steps, each variable becomes true exactly when
+    one of its positive clauses has no other true literal; the resolvents
+    guarantee no negative clause then needs it false.  Variables never
+    eliminated are set false.
+    """
+    x = np.full(n, -1, dtype=np.int8)
+    for idx, cols, clauses in reversed(eliminated):
+        others = np.delete(clauses, idx, axis=1) == x[np.delete(cols, idx)]
+        needy = clauses[~others.any(axis=1), idx]
+        x[cols[idx]] = 1 if (needy == 1).any() else -1
+    return tuple(x.tolist())
+
+
 def metavariable_eliminate(
     s: Scheme, order: Sequence[int] | None = None
 ) -> tuple[bool, list[Scheme]]:
-    """Split away every variable in turn; conclusive for satisfiability.
+    """Eliminate every variable in turn; conclusive for satisfiability.
 
-    Subsumption dropping and shrinking (both solution-set preserving) run
-    between steps to curb clause growth.  Returns (satisfiable, chain) where
-    the chain records the scheme after each elimination.  The scheme is
-    satisfiable iff the chain ends empty; an empty clause or contradiction
-    along the way settles unsatisfiability.
+    Runs `_eliminate` over a full permutation of the columns, least clause
+    growth first by default.  Returns (satisfiable, chain) where the chain
+    holds the input and then the scheme after each elimination.  Raises
+    ValueError when a step would pass RESOLUTION_ROW_LIMIT clauses.
     """
-    if order is None:
-        order = list(range(s.n))
-    else:
+    if order is not None:
         order = _check_permutation(order, s.n, "elimination")
-    chain = [s]
-    col_ids = list(range(s.n))
-    cur = s
-    for var in order:
-        if cur.m == 0:
-            return True, chain
-        if status(cur) in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
-            return False, chain
-        idx = col_ids.index(var)
-        cur = split(cur, idx).recombined
-        cur = shrink(drop_subsumed(cur))
-        col_ids.pop(idx)
-        chain.append(cur)
-    return cur.m == 0, chain
+    chain, witness, over_budget = _eliminate(s, order)
+    if over_budget:
+        raise ValueError(
+            f"metavariable_eliminate refuses a step past the clause budget {RESOLUTION_ROW_LIMIT}"
+        )
+    return witness is not None, chain
 
 
 def reduce_read3(s: Scheme) -> Scheme:

@@ -88,3 +88,14 @@ def random_clause_set(rng: random.Random, n_max=9, m_max=15) -> Scheme:
             row[c] = sign
             rows.insert(rng.randint(0, len(rows)), row)
     return Scheme.from_rows(rows, n=n)
+
+
+def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Scheme:
+    """round(ratio * n) clauses, each on 3 distinct random columns with random signs."""
+    rows = []
+    for _ in range(round(ratio * n)):
+        row = [0] * n
+        for c in rng.sample(range(n), 3):
+            row[c] = rng.choice((1, -1))
+        rows.append(row)
+    return Scheme.from_rows(rows, n=n)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satscheme import checks
+from satscheme import transforms
 from satscheme.checks import (
     VerdictKind,
     check_all_rows_polarity,
@@ -24,9 +24,9 @@ from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
 from satscheme.pseudo_boolean import eval_u, pb_coefficients, scaled_profile, unsat_count_direct
 from satscheme.scheme_core import Scheme, evaluate
-from satscheme.transforms import assign, flip
+from satscheme.transforms import assign, drop_subsumed, flip, metavariable_eliminate
 
-from conftest import random_scheme
+from conftest import random_3sat, random_scheme
 
 SAT = VerdictKind.SAT_CERTIFIED
 UNSAT = VerdictKind.UNSAT_CERTIFIED
@@ -225,7 +225,7 @@ def test_resolution_chain_budget_gives_up_before_building(monkeypatch):
     def no_resolve(*args):
         raise AssertionError("resolve called past the budget")
 
-    monkeypatch.setattr(checks, "resolve", no_resolve)
+    monkeypatch.setattr(transforms, "resolve", no_resolve)
     # x1 occurs positively in 4 clauses and negatively in 4: 16 resolvents
     rows = []
     for i in range(4):
@@ -250,18 +250,21 @@ def test_resolution_chain_picks_least_growth_variable():
 
 
 def test_run_all_returns_on_large_random_3sat():
-    rng = random.Random(151)
-    n = 26
-    rows = []
-    for _ in range(round(4.26 * n)):
-        row = [0] * n
-        for c in rng.sample(range(n), 3):
-            row[c] = rng.choice((1, -1))
-        rows.append(row)
-    s = Scheme.from_rows(rows)
+    s = random_3sat(random.Random(151), 26)
     t0 = time.perf_counter()
     run_all(s)
     assert time.perf_counter() - t0 < 20.0
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_elimination_decides_random_3sat(n):
+    # without subsumption the chain gave up on all four formulas at n = 20
+    for seed in range(400, 404):
+        s = random_3sat(random.Random(seed), n)
+        truth = oracle_scan(s).count > 0
+        assert check_resolution_chain(s).kind is (SAT if truth else UNSAT)
+        sat, _ = metavariable_eliminate(s)
+        assert sat == truth
 
 
 # --- run_all -------------------------------------------------------------------------
@@ -306,18 +309,21 @@ def test_run_all_soundness_battery():
 
 @pytest.mark.parametrize("n", [0, 1, 8, 38, 39, 40, 78, 79, 100])
 def test_distinct_rows_keeps_each_row_once(n):
+    # the chain dedupes with drop_subsumed: the first copy of each row that
+    # no other row strictly subsumes stays, in input order
     rng = np.random.default_rng(n)
     for m in (0, 1, 2, 7, 40):
         base = rng.integers(-1, 2, size=(max(1, m // 3), n), dtype=np.int8)
         cells = base[rng.integers(0, len(base), size=m)]
-        # rows that differ only past column 39 must stay apart
+        # rows that differ only in the last column must stay apart
         if n > 39 and m:
             cells[rng.integers(0, m), n - 1] = 1
             cells[rng.integers(0, m), n - 1] = -1
-        got = checks._distinct_rows(cells)
+        got = drop_subsumed(Scheme(cells)).cells
+        lits = {r.tobytes(): {(j, v) for j, v in enumerate(r.tolist()) if v} for r in cells}
+        kept = [k for k, a in lits.items() if not any(b < a for b in lits.values())]
         assert got.dtype == np.int8 and got.shape[1] == n
-        assert len(got) == len({r.tobytes() for r in cells})
-        assert {r.tobytes() for r in got} == {r.tobytes() for r in cells}
+        assert [r.tobytes() for r in got] == kept
 
 
 def test_answer_paths_leave_numpy_ma_unloaded(tmp_path):

@@ -82,6 +82,30 @@ def test_solve_split_chain(capsys, tmp_path):
     assert payload["chain_rows"] == [5, 4, 3, 2]
 
 
+SPLIT_BUDGET_DIMACS = "p cnf 3 900\n" + "1 2 0\n" * 450 + "-1 3 0\n" * 450
+
+
+def test_solve_split_budget_refuses_before_resolving(capsys, monkeypatch):
+    # eliminating x1 first would build 450 * 450 resolvents
+    def no_resolve(*args):
+        raise AssertionError("resolve called past the budget")
+
+    monkeypatch.setattr(satscheme.transforms, "resolve", no_resolve)
+    monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_BUDGET_DIMACS))
+    code = main(["solve", "--method", "split", "--order", "1,2,3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(satscheme.transforms.RESOLUTION_ROW_LIMIT) in err
+
+
+def test_solve_split_default_order_within_budget(capsys, monkeypatch):
+    # least growth takes the pure x2 and x3 first
+    monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_BUDGET_DIMACS))
+    code = main(["solve", "--method", "split"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 10 and payload["satisfiable"] is True
+
+
 def test_pbform_text(capsys, tmp_path):
     f = tmp_path / "f5.txt"
     f.write_text("0 - + -\n+ - - 0\n- 0 - 0\n0 + 0 0\n0 0 0 +")

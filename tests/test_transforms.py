@@ -12,6 +12,7 @@ from satscheme.scheme_core import (
     status,
 )
 from satscheme.transforms import (
+    RESOLUTION_ROW_LIMIT,
     accept_facts,
     assign,
     blow_up,
@@ -350,6 +351,14 @@ def test_metavariable_empty_scheme():
 def test_metavariable_requires_permutation(f5):
     with pytest.raises(ValueError):
         metavariable_eliminate(f5, order=[0, 1])
+
+
+def test_metavariable_budget_raises():
+    s = Scheme.from_rows([[1, 1, 0]] * 450 + [[-1, 0, 1]] * 450)
+    with pytest.raises(ValueError, match=f"budget {RESOLUTION_ROW_LIMIT}"):
+        metavariable_eliminate(s, order=[0, 1, 2])
+    sat, _ = metavariable_eliminate(s)
+    assert sat
 
 
 def test_metavariable_matches_oracle_on_randoms():
