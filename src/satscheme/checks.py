@@ -5,7 +5,8 @@ evidence, or Inconclusive.  Certifications must never contradict the
 brute-force oracle; anything resting on floating point keeps a safety
 margin and SAT is only ever certified on an explicitly re-checked witness.
 The resolution chain is the verdict of `transforms._eliminate`, the
-Davis-Putnam loop that `solve --method split` also runs.
+Davis-Putnam loop that `solve --method split` also runs, read from the clause
+masks it returns.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from . import kernels, pt_solvers
 from .dyadic import Dyadic
 from .pseudo_boolean import PBForm, clause_mass, pb_coefficients, unsat_count_direct
-from .scheme_core import Scheme, Status, status
-from .transforms import RESOLUTION_ROW_LIMIT, _eliminate
+from .scheme_core import Scheme
+from .transforms import RESOLUTION_ROW_LIMIT, _eliminate, _refutation
 from .transforms import resolve  # noqa: F401  unused; the benchmark tracer wraps checks.resolve
 
 __all__ = [
@@ -265,16 +266,16 @@ def check_resolution_chain(
     over the variables it does not name are inconclusive, and so is a step
     that would pass `row_limit` clauses.
     """
-    chain, witness, over_budget = _eliminate(s, order, row_limit)
-    step, last = len(chain) - 1, chain[-1]
+    states, _, witness, over_budget = _eliminate(s, order, row_limit)
+    step, last = len(states) - 1, states[-1]
     if witness is not None:
         return Verdict.sat(step=step, witness=witness)
-    pattern = status(last)
-    if pattern in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
+    pattern = _refutation(last, s.n)
+    if pattern is not None:
         return Verdict.unsat(step=step, pattern=pattern.value)
     if over_budget:
-        return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}", final_rows=last.m)
-    return Verdict.inconclusive(final_rows=last.m)
+        return Verdict.inconclusive(reason=f"clause growth beyond {row_limit}", final_rows=len(last))
+    return Verdict.inconclusive(final_rows=len(last))
 
 
 def run_all(s: Scheme) -> CheckReport:

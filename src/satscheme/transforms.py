@@ -6,13 +6,16 @@ Satisfiability preserving: remove_pure_columns, assign, accept_facts, split,
 resolve (both Davis-Putnam variable elimination), metavariable elimination
 and the READ-3 occurrence reduction.
 
-`_eliminate` is the one Davis-Putnam loop (`resolve`, then `drop_subsumed`);
-`metavariable_eliminate` and `checks.check_resolution_chain` both run it.
+`_eliminate` is the one Davis-Putnam loop; `metavariable_eliminate` and
+`checks.check_resolution_chain` both run it.  Each of its steps gives the
+rows of `resolve` followed by `drop_subsumed`, computed on one Python int per
+clause, with only the new resolvents tested for subsumption.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -289,18 +292,84 @@ def split(s: Scheme, var: int) -> SplitResult:
     )
 
 
+def _masks(s: Scheme) -> list[int]:
+    """One int per clause: bit j is the literal x_{j+1}, bit n + j its negation."""
+    packed = np.packbits(np.concatenate([s.cells == 1, s.cells == -1], axis=1), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(s.m)]
+
+
+def _scheme_of(clauses: list[int], n: int, cols: list[int]) -> Scheme:
+    """The grid of clause masks over `n` variables, restricted to columns `cols`."""
+    width = (2 * n + 7) // 8
+    data = b"".join([c.to_bytes(width, "little") for c in clauses])
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(clauses), width)
+    bits = np.unpackbits(bits, axis=1, bitorder="little").view(np.int8)
+    cols_arr = np.array(cols, dtype=np.intp)
+    return Scheme(bits[:, cols_arr] - bits[:, cols_arr + n])
+
+
+def _refutation(clauses: list[int], n: int) -> Status | None:
+    """CONTRADICTION or EMPTY_CLAUSE when `status` reports one on these clause masks."""
+    # the distinct unit (and empty) clauses are distinct powers of two, so their sum is their union
+    units = sum({c for c in clauses if not c & (c - 1)})
+    if units & (units >> n):
+        return Status.CONTRADICTION
+    if 0 in clauses:
+        return Status.EMPTY_CLAUSE
+    return None
+
+
+def _literals(c: int) -> list[int]:
+    """Indices of the set bits of a clause mask, lowest first."""
+    out = []
+    while c:
+        low = c & -c
+        out.append(low.bit_length() - 1)
+        c ^= low
+    return out
+
+
+def _unsubsumed(rows: list[int], fresh: int, lits: dict[int, list[int]], width: int) -> list[int]:
+    """The distinct clause masks `rows`, in order, less every row another row subsumes.
+
+    Row j goes when some other row i has no literal outside it
+    (i & ~j == 0).  The rows from `fresh` on subsume none of each other, so
+    they are tested only against the rows before `fresh`.  occ[b] is the
+    bitset of rows holding literal b; the rows that contain row i are the AND
+    of occ over i's literals.  `lits` maps each row to its literal indices,
+    all below `width`.
+    """
+    occ = [0] * width
+    for i, c in enumerate(rows):
+        bit = 1 << i
+        for b in lits[c]:
+            occ[b] |= bit
+    everyone = (1 << len(rows)) - 1
+    fresh_rows = (1 << fresh) - 1
+    drop = 0
+    for i, c in enumerate(rows):
+        over = everyone if i < fresh else fresh_rows
+        for b in lits[c]:
+            over &= occ[b]
+        drop |= over & ~(1 << i)
+    return [c for i, c in enumerate(rows) if not drop >> i & 1]
+
+
 def _eliminate(
     s: Scheme, order: Sequence[int] | None = None, row_limit: int = RESOLUTION_ROW_LIMIT
-) -> tuple[list[Scheme], tuple[int, ...] | None, bool]:
+) -> tuple[list[list[int]], list[int], tuple[int, ...] | None, bool]:
     """Davis-Putnam variable elimination with subsumption, within a clause budget.
 
     Each step replaces the clauses on one variable by the non-tautological
-    resolvents of its positive and negative clauses (`resolve`), which keeps
-    the formula satisfiable iff the input is (Davis & Putnam, JACM 1960),
-    then drops subsumed and duplicate clauses (`drop_subsumed`).  The run
-    stops at an empty clause or a contradiction (UNSAT), or when the clauses
-    run out (SAT): the eliminated variables are then set in reverse order
-    so that each one's clauses hold, and the model is re-checked.
+    resolvents of its positive and negative clauses, which keeps the formula
+    satisfiable iff the input is (Davis & Putnam, JACM 1960), then drops
+    subsumed and duplicate clauses: the rows are those of `drop_subsumed`
+    after `resolve`.  The run stops at an empty clause or a contradiction
+    (UNSAT), or when the clauses run out (SAT): the eliminated variables are
+    then set in reverse order so that each one's clauses hold, and the model
+    is re-checked.
 
     By default the next variable is the one minimising |P|*|N| - |P| - |N|,
     with P and N its positive and negative clauses (the clause-growth rule
@@ -308,63 +377,91 @@ def _eliminate(
     lowest index), until every variable is gone.  An explicit `order` lists
     distinct original column indices.  Before each step the run stops when
     |P|*|N| + |R|, which bounds the next clause count, exceeds `row_limit`;
-    nothing is built then.  Returns (chain, witness, over_budget): the input
-    and the scheme after each step, the model or None, and whether the
-    budget stopped the run.
+    nothing is built then.
+
+    Clauses are ints (see `_masks`).  The first step on a variable that
+    occurs reduces the whole formula once; after that only the new
+    resolvents are tested against the other clauses (SatELite's incremental
+    subsumption, Een & Biere, SAT 2005), so a pure step does no subsumption
+    work.  Returns (states, eliminated, witness, over_budget): the clause
+    masks of the input and after each step, the original column of each
+    step, the model or None, and whether the budget stopped the run.
     """
+    n = s.n
     if order is not None:
         order = [int(v) for v in order]
-        if len(set(order)) != len(order) or any(not 0 <= v < s.n for v in order):
+        if len(set(order)) != len(order) or any(not 0 <= v < n for v in order):
             raise ValueError("elimination order must be distinct column indices")
-    steps = s.n if order is None else len(order)
-    chain = [s]
-    cur = s
-    col_ids = list(range(s.n))
-    eliminated = []  # (local column, original columns, clauses on it) per step
+    steps = n if order is None else len(order)
+    clauses = _masks(s)
+    lits = {c: _literals(c) for c in clauses}  # covers every current clause
+    states = [clauses]
+    live = list(range(n))
+    eliminated: list[int] = []
+    on_var: list[list[int]] = []  # the clauses on each eliminated variable
+    reduced = False
     for step in range(steps + 1):
-        if status(cur) in (Status.CONTRADICTION, Status.EMPTY_CLAUSE):
+        if _refutation(clauses, n) is not None:
             break
-        if cur.m == 0:
-            witness = _back_substitute(s.n, eliminated)
-            if not evaluate(s, witness):
-                raise RuntimeError("internal error: back-substituted witness is not a model")
-            return chain, witness, False
+        if not clauses:
+            return states, eliminated, _back_substitute(s, eliminated, on_var), False
         if step == steps:
             break
-        n_pos = (cur.cells == 1).sum(axis=0)
-        n_neg = (cur.cells == -1).sum(axis=0)
         if order is None:
-            idx = int(np.argmin(n_pos * n_neg - n_pos - n_neg))
+            counts = Counter(itertools.chain.from_iterable(map(lits.__getitem__, clauses)))
+            v = min(live, key=lambda j: counts[j] * counts[n + j] - counts[j] - counts[n + j])
         else:
-            idx = col_ids.index(order[step])
-        pos, neg = int(n_pos[idx]), int(n_neg[idx])
-        if pos * neg + cur.m - pos - neg > row_limit:
-            return chain, None, True
-        on_var = cur.cells[:, idx] != 0
-        eliminated.append((idx, np.array(col_ids), cur.cells[on_var]))
-        if on_var.any():
-            cur = drop_subsumed(resolve(cur, idx)[0])
-        else:
-            cur = cur.delete_columns([idx])
-        col_ids.pop(idx)
-        chain.append(cur)
-    return chain, None, False
+            v = order[step]
+        pos_bit, neg_bit = 1 << v, 1 << (n + v)
+        pos = [c for c in clauses if c & pos_bit]
+        neg = [c for c in clauses if c & neg_bit]
+        if len(pos) * len(neg) + len(clauses) - len(pos) - len(neg) > row_limit:
+            return states, eliminated, None, True
+        live.remove(v)
+        eliminated.append(v)
+        on_var.append(pos + neg)
+        if pos or neg:
+            rest = [c for c in clauses if not c & (pos_bit | neg_bit)]
+            neg_rest = [q ^ neg_bit for q in neg]
+            # first copies, in (P row, N row) order; r & (r >> n) marks a tautology
+            resolvents = dict.fromkeys(
+                r for p in pos for r in map((p ^ pos_bit).__or__, neg_rest) if not r & (r >> n)
+            )
+            for r in resolvents:
+                if r not in lits:
+                    lits[r] = _literals(r)
+            if not reduced:
+                rows = list(dict.fromkeys([*resolvents, *rest]))
+                clauses = _unsubsumed(rows, len(rows), lits, 2 * n)
+                reduced = True
+            elif resolvents:
+                rows = [*resolvents, *(c for c in rest if c not in resolvents)]
+                clauses = _unsubsumed(rows, len(resolvents), lits, 2 * n)
+            else:
+                clauses = rest
+            lits = {c: lits[c] for c in clauses}
+        states.append(clauses)
+    return states, eliminated, None, False
 
 
-def _back_substitute(n: int, eliminated) -> tuple[int, ...]:
-    """A model from an elimination chain that ran out of clauses.
+def _back_substitute(s: Scheme, eliminated: list[int], on_var: list[list[int]]) -> tuple[int, ...]:
+    """A model from an elimination run that ran out of clauses, re-checked on `s`.
 
     Going back through the steps, each variable becomes true exactly when
     one of its positive clauses has no other true literal; the resolvents
     guarantee no negative clause then needs it false.  Variables never
-    eliminated are set false.
+    eliminated are set false.  `true` holds the true literals.
     """
-    x = np.full(n, -1, dtype=np.int8)
-    for idx, cols, clauses in reversed(eliminated):
-        others = np.delete(clauses, idx, axis=1) == x[np.delete(cols, idx)]
-        needy = clauses[~others.any(axis=1), idx]
-        x[cols[idx]] = 1 if (needy == 1).any() else -1
-    return tuple(x.tolist())
+    n = s.n
+    true = ((1 << n) - 1) << n
+    for v, clauses in zip(reversed(eliminated), reversed(on_var)):
+        pos_bit, both = 1 << v, (1 << v) | (1 << (n + v))
+        if any(c & pos_bit and not c & true & ~both for c in clauses):
+            true ^= both
+    witness = tuple(1 if true >> j & 1 else -1 for j in range(n))
+    if not evaluate(s, witness):
+        raise RuntimeError("internal error: back-substituted witness is not a model")
+    return witness
 
 
 def metavariable_eliminate(
@@ -379,11 +476,16 @@ def metavariable_eliminate(
     """
     if order is not None:
         order = _check_permutation(order, s.n, "elimination")
-    chain, witness, over_budget = _eliminate(s, order)
+    states, eliminated, witness, over_budget = _eliminate(s, order)
     if over_budget:
         raise ValueError(
             f"metavariable_eliminate refuses a step past the clause budget {RESOLUTION_ROW_LIMIT}"
         )
+    cols = list(range(s.n))
+    chain = [s]
+    for clauses, v in zip(states[1:], eliminated):
+        cols.remove(v)
+        chain.append(_scheme_of(clauses, s.n, cols))
     return witness is not None, chain
 
 

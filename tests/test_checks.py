@@ -222,10 +222,11 @@ def test_resolution_chain_never_contradicts_oracle():
 
 
 def test_resolution_chain_budget_gives_up_before_building(monkeypatch):
-    def no_resolve(*args):
-        raise AssertionError("resolve called past the budget")
+    # the engine hands every step's resolvents to _unsubsumed
+    def no_resolvents(*args):
+        raise AssertionError("resolvents built past the budget")
 
-    monkeypatch.setattr(transforms, "resolve", no_resolve)
+    monkeypatch.setattr(transforms, "_unsubsumed", no_resolvents)
     # x1 occurs positively in 4 clauses and negatively in 4: 16 resolvents
     rows = []
     for i in range(4):
@@ -237,7 +238,7 @@ def test_resolution_chain_budget_gives_up_before_building(monkeypatch):
     s = Scheme.from_rows(rows)
     v = check_resolution_chain(s, order=[0], row_limit=10)
     assert v.kind is OPEN
-    assert v.evidence["final_rows"] == 8
+    assert v.evidence == {"reason": "clause growth beyond 10", "final_rows": 8}
 
 
 def test_resolution_chain_picks_least_growth_variable():

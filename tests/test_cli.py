@@ -87,10 +87,10 @@ SPLIT_BUDGET_DIMACS = "p cnf 3 900\n" + "1 2 0\n" * 450 + "-1 3 0\n" * 450
 
 def test_solve_split_budget_refuses_before_resolving(capsys, monkeypatch):
     # eliminating x1 first would build 450 * 450 resolvents
-    def no_resolve(*args):
-        raise AssertionError("resolve called past the budget")
+    def no_resolvents(*args):
+        raise AssertionError("resolvents built past the budget")
 
-    monkeypatch.setattr(satscheme.transforms, "resolve", no_resolve)
+    monkeypatch.setattr(satscheme.transforms, "_unsubsumed", no_resolvents)
     monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_BUDGET_DIMACS))
     code = main(["solve", "--method", "split", "--order", "1,2,3"])
     err = capsys.readouterr().err

@@ -29,7 +29,8 @@ from satscheme.transforms import (
     split,
 )
 
-from satscheme import scheme_core
+from satscheme import scheme_core, transforms
+from satscheme.checks import check_resolution_chain
 
 from conftest import random_clause_set, random_scheme
 
@@ -369,6 +370,116 @@ def test_metavariable_matches_oracle_on_randoms():
         rng.shuffle(order)
         sat, _ = metavariable_eliminate(s, order)
         assert sat == (oracle_scan(s).count > 0)
+
+
+def test_metavariable_pure_steps_skip_subsumption(monkeypatch):
+    # (x1 or a_i) and (not x1 or b_i), i = 1..100: x1 gives 10 000 resolvents,
+    # then every step is pure and must not re-scan them for subsumption
+    calls = []
+    full_pass = transforms._unsubsumed
+    monkeypatch.setattr(transforms, "_unsubsumed", lambda *args: calls.append(1) or full_pass(*args))
+    rows = []
+    for i in range(100):
+        pos, neg = [0] * 201, [0] * 201
+        pos[0], pos[1 + i] = 1, 1
+        neg[0], neg[101 + i] = -1, 1
+        rows += [pos, neg]
+    sat, chain = metavariable_eliminate(Scheme.from_rows(rows), order=range(201))
+    assert sat
+    assert [c.m for c in chain[:4]] == [200, 10000, 9900, 9800]
+    assert len(calls) == 1
+
+
+# --- the elimination engine against a grid reference --------------------------------
+
+REFUTED = (Status.CONTRADICTION, Status.EMPTY_CLAUSE)
+
+
+def _reference_elimination(s, order=None, row_limit=RESOLUTION_ROW_LIMIT):
+    """The elimination loop on grids: `resolve`, then `drop_subsumed`.
+
+    Least growth first (lowest index on ties) or an explicit order, with the
+    budget checked before each step.  Returns (chain, witness, over_budget).
+    """
+    chain, cur, cols = [s], s, list(range(s.n))
+    steps = s.n if order is None else len(order)
+    undo = []  # (column, columns left, clauses on the column) per step
+    for step in range(steps + 1):
+        if status(cur) in REFUTED:
+            return chain, None, False
+        if cur.m == 0:
+            x = [-1] * s.n
+            for col, left, clauses in reversed(undo):
+                needy = [r for r in clauses if not any(f == x[c] for c, f in zip(left, r) if c != col)]
+                x[col] = 1 if any(r[left.index(col)] == 1 for r in needy) else -1
+            return chain, tuple(x), False
+        if step == steps:
+            return chain, None, False
+        n_pos = (cur.cells == 1).sum(axis=0)
+        n_neg = (cur.cells == -1).sum(axis=0)
+        idx = int(np.argmin(n_pos * n_neg - n_pos - n_neg)) if order is None else cols.index(order[step])
+        pos, neg = int(n_pos[idx]), int(n_neg[idx])
+        if pos * neg + cur.m - pos - neg > row_limit:
+            return chain, None, True
+        undo.append((cols[idx], list(cols), [r for r in cur.rows() if r[idx]]))
+        cur = drop_subsumed(resolve(cur, idx)[0]) if pos + neg else cur.delete_columns([idx])
+        cols.pop(idx)
+        chain.append(cur)
+
+
+def _assert_engine_matches_reference(s, order=None, row_limit=RESOLUTION_ROW_LIMIT):
+    chain, witness, over_budget = _reference_elimination(s, order, row_limit)
+    step, last = len(chain) - 1, chain[-1]
+    evidence = check_resolution_chain(s, order, row_limit).evidence
+    if witness is not None:
+        assert evidence == {"step": step, "witness": witness}
+    elif status(last) in REFUTED:
+        assert evidence == {"step": step, "pattern": status(last).value}
+    elif over_budget:
+        assert evidence == {"reason": f"clause growth beyond {row_limit}", "final_rows": last.m}
+    else:
+        assert evidence == {"final_rows": last.m}
+    if row_limit != RESOLUTION_ROW_LIMIT or (order is not None and len(order) < s.n):
+        return
+    if over_budget:
+        with pytest.raises(ValueError):
+            metavariable_eliminate(s, order)
+        return
+    sat, got = metavariable_eliminate(s, order)
+    assert sat == (witness is not None)
+    assert got == chain  # every grid, row order included
+
+
+def test_engine_matches_reference_on_small_randoms():
+    rng = random.Random(181)
+    for i in range(500):
+        s = random_clause_set(rng, n_max=11, m_max=30) if i % 2 else random_scheme(
+            rng, n_max=11, m_max=30, k_max=4, empty_row_prob=0.03
+        )
+        _assert_engine_matches_reference(s)
+        _assert_engine_matches_reference(s, order=rng.sample(range(s.n), s.n))
+        partial = rng.sample(range(s.n), rng.randint(0, s.n))
+        _assert_engine_matches_reference(s, partial, row_limit=rng.choice((3, 8, 20, RESOLUTION_ROW_LIMIT)))
+        _assert_engine_matches_reference(s, row_limit=rng.choice((3, 8, 20)))
+
+
+def test_engine_matches_reference_on_wide_formulas():
+    # n = 60-140, so every clause mask spans several 64-bit words; the clauses
+    # sit on 12 random columns so that steps resolve, the rest stay absent
+    rng = random.Random(191)
+    for _ in range(10):
+        n = rng.randint(60, 140)
+        used = rng.sample(range(n), 12)
+        rows = []
+        for _ in range(rng.randint(30, 55)):
+            row = [0] * n
+            for c in rng.sample(used, 3):
+                row[c] = rng.choice((1, -1))
+            rows.append(row)
+        s = Scheme.from_rows(rows)
+        _assert_engine_matches_reference(s)
+        _assert_engine_matches_reference(s, order=rng.sample(used, rng.randint(0, 12)))
+        _assert_engine_matches_reference(s, row_limit=rng.choice((20, 60)))
 
 
 # --- READ-3 -------------------------------------------------------------------------
