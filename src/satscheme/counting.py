@@ -15,7 +15,8 @@ A non-orthogonal cluster is violated by exactly 2**(n - k_c) assignments
 and an orthogonal one by none, so the size-k terms also sum to
 sum_x C(u(x), k), with u(x) the number of clauses x violates.  Up to
 HISTOGRAM_N_LIMIT variables the partial sums are read from the histogram of
-u that one assignment scan gives; above it the cliques are enumerated.
+u that one assignment scan gives; above it the cliques are enumerated, on
+the clause masks of the elimination engine (`transforms._masks`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from . import kernels
 from .dyadic import Dyadic
 from .pseudo_boolean import clause_mass
-from .scheme_core import Scheme, _row_pairs
-from .transforms import FULL_BLOW_UP_LIMIT
+from .scheme_core import Scheme
+from .transforms import FULL_BLOW_UP_LIMIT, _literals, _masks, _occurrences
 
 __all__ = [
     "CountResult",
@@ -85,22 +86,28 @@ def count_solutions(s: Scheme, n_limit: int = DEFAULT_N_LIMIT) -> CountResult:
     return CountResult(total=sum(partials.values()), partials=partials, cluster_count=0)
 
 
-def _bitmask(flags: np.ndarray) -> int:
-    """Python int with bit j set where flags[j] is True."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 def count_by_cliques(s: Scheme) -> CountResult:
     """Exact model count by depth-first clique enumeration.
 
     Rows are compatible when not orthogonal (a row's own bit is set too);
     each clique is visited once by extending only with higher row indices.
-    The exact path above HISTOGRAM_N_LIMIT variables, and the reference for
-    the histogram path.
+    Row i's compatible rows are those holding no complement of its
+    literals, read off per-literal row bitsets over the clause masks of
+    `transforms._masks`.  The exact path above HISTOGRAM_N_LIMIT variables,
+    and the reference for the histogram path.
     """
     m, n = s.m, s.n
-    compat = [_bitmask(row) for _, _, clash in _row_pairs(s.cells) for row in clash == 0]
-    supports = list(map(_bitmask, s.cells != 0))
+    masks = _masks(s)
+    lits = {c: _literals(c) for c in masks}
+    occ = _occurrences(masks, lits, 2 * n)
+    everyone = (1 << m) - 1
+    compat = []
+    for c in masks:
+        clash = 0
+        for b in lits[c]:
+            clash |= occ[(b + n) % (2 * n)]  # the rows holding b's complement
+        compat.append(everyone & ~clash)
+    supports = [(c | c >> n) & ((1 << n) - 1) for c in masks]
 
     partials: dict[int, int] = {0: 1 << n}
     clusters = 0

@@ -31,10 +31,6 @@ __all__ = [
     "unsat_count_direct",
 ]
 
-# Row pairs per block of _row_pairs: b = max(1, _PAIR_ENTRIES // m) rows
-# against all m rows, so its temporaries are a few b-by-m arrays.
-_PAIR_ENTRIES = 1 << 18
-
 
 class Fill(enum.IntEnum):
     """Cell value of a scheme: a literal's polarity, or absence."""
@@ -352,26 +348,6 @@ def orthogonal(s: Scheme, i: int, j: int) -> bool:
         return False
     a, b = s.cells[i], s.cells[j]
     return bool(((a == 1) & (b == -1)).any() or ((a == -1) & (b == 1)).any())
-
-
-def _row_pairs(cells: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (start, shared, clash) literal counts of row pairs, block by block.
-
-    For the block of rows start, start+1, ... against all m rows,
-    shared[a, j] counts the literals rows start+a and j have in common and
-    clash[a, j] the columns where they hold opposite fills.  Blocks come in
-    row order and span about _PAIR_ENTRIES pairs; no m-by-m-by-n table is
-    built.  With both = |a|.|b| and dot = a.b over the fills, shared =
-    (both + dot) / 2 and clash = (both - dot) / 2, exact in float32.
-    """
-    m = cells.shape[0]
-    fills = cells.astype(np.float32)
-    filled = np.abs(fills)
-    step = max(1, _PAIR_ENTRIES // max(m, 1))
-    for start in range(0, m, step):
-        both = filled[start : start + step] @ filled.T
-        dot = fills[start : start + step] @ fills.T
-        yield start, (both + dot) / 2, (both - dot) / 2
 
 
 def status(s: Scheme) -> Status:

@@ -9,7 +9,11 @@ and the READ-3 occurrence reduction.
 `_eliminate` is the one Davis-Putnam loop; `metavariable_eliminate` and
 `checks.check_resolution_chain` both run it.  Each of its steps gives the
 rows of `resolve` followed by `drop_subsumed`, computed on one Python int per
-clause, with only the new resolvents tested for subsumption.
+clause, with only the new resolvents tested for subsumption.  Every job that
+compares clauses in pairs runs on those clause masks (`_masks`): the
+engine's subsumption, `drop_subsumed`, `shrink` and the compatibility graph
+of `counting.count_by_cliques`.  `resolve` and `split` stay on whole-array
+grids, where one broadcast beats converting to masks and back.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scheme_core import Scheme, Status, _row_pairs, evaluate, status
+from .scheme_core import Scheme, Status, evaluate, status
 
 __all__ = [
     "SplitResult",
@@ -126,43 +130,45 @@ def shrink(s: Scheme) -> Scheme:
     clash there: row i loses that literal and row j is deleted.  Stops early
     when a terminal pattern (confirmation/contradiction/empty clause)
     appears, so those shapes stay visible to the caller.
+
+    Runs on clause masks (see `_masks`): row j is row i's partner on literal
+    b when its mask is row i's with b swapped for its complement, so each
+    round is one pass over a dict from mask to row positions.
     """
-    cells = s.cells
-    while status(Scheme(cells)) is Status.OPEN:
-        sizes = np.count_nonzero(cells, axis=1)
-        for start, shared, clash in _row_pairs(cells):
-            rows = np.arange(start, start + len(shared))
-            # cells differing: each lone literal once, each clashing column once
-            differ = sizes[rows, None] + sizes[None, :] - 2 * shared - clash
-            later = rows[:, None] < np.arange(len(cells))
-            pairs = np.argwhere((differ == 1) & (clash == 1) & later)
-            if len(pairs):
+    n = s.n
+    rows = _masks(s)
+    # while status() is OPEN: no refutation, and not one row of one literal
+    while _refutation(rows, n) is None and not (len(rows) == 1 and rows[0].bit_count() == 1):
+        at: dict[int, list[int]] = {}
+        for k, c in enumerate(rows):
+            at.setdefault(c, []).append(k)
+        for i, c in enumerate(rows):
+            # literal (b + n) mod 2n is the complement of literal b
+            swaps = [(b, c ^ (1 << b) ^ (1 << (b + n) % (2 * n))) for b in _literals(c)]
+            later = [(j, b) for b, partner in swaps for j in at.get(partner, ()) if j > i]
+            if later:
+                j, b = min(later)
                 break
         else:
             break
-        i, j = start + int(pairs[0, 0]), int(pairs[0, 1])
-        c = int(np.argmax(cells[i] != cells[j]))
-        cells = np.delete(cells, j, axis=0)
-        cells[i, c] = 0
-    return Scheme(cells)
+        rows[i] ^= 1 << b
+        del rows[j]
+    return _scheme_of(rows, n, range(n))
 
 
 def drop_subsumed(s: Scheme) -> Scheme:
     """Remove clauses whose literal set contains another clause's.
 
-    R and (R or S) == R.  With sub[i, j] meaning every literal of row j is
-    in row i, row i goes when some j != i has sub[i, j] and (not sub[j, i]
-    or j < i): strict supersets go, and exact duplicates keep their first
-    copy.
+    R and (R or S) == R.  Row i goes when another row's literals are a
+    strict subset of its own, or equal to them in an earlier row: strict
+    supersets go, and exact duplicates keep their first copy.  The distinct
+    clause masks go through the engine's `_unsubsumed`.
     """
-    sizes = np.count_nonzero(s.cells, axis=1)
-    drop = np.zeros(s.m, dtype=bool)
-    for start, shared, _ in _row_pairs(s.cells):
-        rows = np.arange(start, start + len(shared))
-        sub = shared == sizes[None, :]
-        sub_back = shared == sizes[rows, None]
-        drop[rows] = (sub & (~sub_back | (np.arange(s.m) < rows[:, None]))).any(axis=1)
-    return Scheme(s.cells[~drop])
+    first: dict[int, int] = {}
+    for i, c in enumerate(_masks(s)):
+        first.setdefault(c, i)
+    kept = _unsubsumed(list(first), len(first), {c: _literals(c) for c in first}, 2 * s.n)
+    return Scheme(s.cells[[first[c] for c in kept]])
 
 
 def remove_pure_columns(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
@@ -331,6 +337,16 @@ def _literals(c: int) -> list[int]:
     return out
 
 
+def _occurrences(rows: list[int], lits: dict[int, list[int]], width: int) -> list[int]:
+    """occ[b] for b < width: the bitset of the positions in `rows` of the clause masks holding literal b."""
+    occ = [0] * width
+    for i, c in enumerate(rows):
+        bit = 1 << i
+        for b in lits[c]:
+            occ[b] |= bit
+    return occ
+
+
 def _unsubsumed(rows: list[int], fresh: int, lits: dict[int, list[int]], width: int) -> list[int]:
     """The distinct clause masks `rows`, in order, less every row another row subsumes.
 
@@ -341,11 +357,7 @@ def _unsubsumed(rows: list[int], fresh: int, lits: dict[int, list[int]], width: 
     of occ over i's literals.  `lits` maps each row to its literal indices,
     all below `width`.
     """
-    occ = [0] * width
-    for i, c in enumerate(rows):
-        bit = 1 << i
-        for b in lits[c]:
-            occ[b] |= bit
+    occ = _occurrences(rows, lits, width)
     everyone = (1 << len(rows)) - 1
     fresh_rows = (1 << fresh) - 1
     drop = 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from satscheme.fixtures import fixture
@@ -65,10 +66,10 @@ def random_horn_scheme(rng: random.Random, n_max=10, m_max=15) -> Scheme:
     return Scheme.from_rows(rows, n=n)
 
 
-def random_clause_set(rng: random.Random, n_max=9, m_max=15) -> Scheme:
-    """Random scheme with n=0..n_max, duplicate rows, empty clauses, widths
+def random_clause_set(rng: random.Random, n_max=9, m_max=15, n_min=0) -> Scheme:
+    """Random scheme with n=n_min..n_max, duplicate rows, empty clauses, widths
     up to 4 and sometimes a pair of complementary unit clauses."""
-    n = rng.randint(0, n_max)
+    n = rng.randint(n_min, n_max)
     m = rng.randint(0, m_max)
     empty_prob = rng.choice((0.0, 0.05, 0.2))
     rows = []
@@ -88,6 +89,16 @@ def random_clause_set(rng: random.Random, n_max=9, m_max=15) -> Scheme:
             row[c] = sign
             rows.insert(rng.randint(0, len(rows)), row)
     return Scheme.from_rows(rows, n=n)
+
+
+def wide_clause_set(rng: random.Random, m_max=15) -> Scheme:
+    """A random_clause_set on 12 columns, spread over n = 60..140 columns so
+    that each clause mask spans several 64-bit words."""
+    narrow = random_clause_set(rng, n_max=12, m_max=m_max, n_min=12)
+    n = rng.randint(60, 140)
+    cells = np.zeros((narrow.m, n), dtype=np.int8)
+    cells[:, rng.sample(range(n), 12)] = narrow.cells
+    return Scheme(cells)
 
 
 def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Scheme:

@@ -14,9 +14,7 @@ from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
 from satscheme.scheme_core import Scheme, orthogonal
 
-from satscheme import scheme_core
-
-from conftest import random_clause_set, random_scheme
+from conftest import random_clause_set, random_scheme, wide_clause_set
 
 
 def test_count_f5_partials(f5):
@@ -194,13 +192,10 @@ def _clusters_reference(s):
     return partials, clusters
 
 
-@pytest.mark.parametrize("entries", [None, 20])
-def test_count_by_cliques_matches_subset_enumeration(monkeypatch, entries):
-    if entries is not None:
-        monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
+def test_count_by_cliques_matches_subset_enumeration():
     rng = random.Random(431)
-    for _ in range(300):
-        s = random_clause_set(rng, m_max=10)
+    for i in range(360):
+        s = random_clause_set(rng, m_max=10) if i < 300 else wide_clause_set(rng, m_max=10)
         res = count_by_cliques(s)
         partials, clusters = _clusters_reference(s)
         assert (res.partials, res.cluster_count) == (partials, clusters)

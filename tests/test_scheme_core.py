@@ -313,30 +313,6 @@ def test_status_precedence():
     assert status(Scheme.from_rows([[1, 1], [-1, 0], [0, 0]])) is Status.EMPTY_CLAUSE
 
 
-def _pair_counts_reference(cells):
-    shared = ((cells[:, None] == cells[None]) & (cells[:, None] != 0)).sum(-1)
-    clash = (cells[:, None] * cells[None] == -1).sum(-1)
-    return shared, clash
-
-
-@pytest.mark.parametrize("entries", [1, 7, 1 << 18])
-def test_row_pairs_blocks_cover_every_pair(monkeypatch, entries):
-    monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
-    rng = random.Random(409)
-    for _ in range(100):
-        s = random_clause_set(rng)
-        blocks = list(scheme_core._row_pairs(s.cells))
-        lengths = [len(b) for _, b, _ in blocks]
-        assert [start for start, _, _ in blocks] == [sum(lengths[:k]) for k in range(len(blocks))]
-        shared = np.concatenate([b for _, b, _ in blocks]) if blocks else np.zeros((0, 0))
-        clash = np.concatenate([c for _, _, c in blocks]) if blocks else np.zeros((0, 0))
-        want_shared, want_clash = _pair_counts_reference(s.cells)
-        assert np.array_equal(shared, want_shared.reshape(shared.shape))
-        assert np.array_equal(clash, want_clash.reshape(clash.shape))
-        if entries == 1:
-            assert all(len(b) == 1 for _, b, _ in blocks)
-
-
 def test_evaluate_agrees_with_unsat_count():
     rng = random.Random(419)
     for _ in range(100):

@@ -29,10 +29,10 @@ from satscheme.transforms import (
     split,
 )
 
-from satscheme import scheme_core, transforms
+from satscheme import transforms
 from satscheme.checks import check_resolution_chain
 
-from conftest import random_clause_set, random_scheme
+from conftest import random_clause_set, random_scheme, wide_clause_set
 
 
 def _solutions(s):
@@ -396,7 +396,7 @@ REFUTED = (Status.CONTRADICTION, Status.EMPTY_CLAUSE)
 
 
 def _reference_elimination(s, order=None, row_limit=RESOLUTION_ROW_LIMIT):
-    """The elimination loop on grids: `resolve`, then `drop_subsumed`.
+    """The elimination loop on grids: `resolve`, then the loop reference of `drop_subsumed`.
 
     Least growth first (lowest index on ties) or an explicit order, with the
     budget checked before each step.  Returns (chain, witness, over_budget).
@@ -422,7 +422,7 @@ def _reference_elimination(s, order=None, row_limit=RESOLUTION_ROW_LIMIT):
         if pos * neg + cur.m - pos - neg > row_limit:
             return chain, None, True
         undo.append((cols[idx], list(cols), [r for r in cur.rows() if r[idx]]))
-        cur = drop_subsumed(resolve(cur, idx)[0]) if pos + neg else cur.delete_columns([idx])
+        cur = _drop_subsumed_reference(resolve(cur, idx)[0]) if pos + neg else cur.delete_columns([idx])
         cols.pop(idx)
         chain.append(cur)
 
@@ -612,17 +612,15 @@ def _same(a, b):
     return a.cells.shape == b.cells.shape and np.array_equal(a.cells, b.cells)
 
 
-@pytest.mark.parametrize("entries", [None, 1, 7])
-def test_clause_set_operations_match_loop_references(monkeypatch, entries):
-    if entries is not None:
-        monkeypatch.setattr(scheme_core, "_PAIR_ENTRIES", entries)
+def test_clause_set_operations_match_loop_references():
     rng = random.Random(421)
-    merged = dropped = 0
-    for _ in range(500):
-        s = random_clause_set(rng)
+    merged = dropped = wide_merged = 0
+    for i in range(650):
+        s = random_clause_set(rng) if i < 500 else wide_clause_set(rng, m_max=40)
         got = shrink(s)
         assert _same(got, _shrink_reference(s))
         merged += got.m < s.m
+        wide_merged += got.m < s.m and i >= 500
         got = drop_subsumed(s)
         assert _same(got, _drop_subsumed_reference(s))
         dropped += got.m < s.m
@@ -630,7 +628,7 @@ def test_clause_set_operations_match_loop_references(monkeypatch, entries):
         assert _same(got, want) and trail == want_trail
         (got, trail), (want, want_trail) = accept_facts(s), _accept_facts_reference(s)
         assert _same(got, want) and trail == want_trail
-    assert merged > 20 and dropped > 100
+    assert merged > 20 and dropped > 100 and wide_merged >= 3
 
 
 def test_shrink_merges_first_pair_in_row_major_order():
