@@ -101,6 +101,14 @@ def wide_clause_set(rng: random.Random, m_max=15) -> Scheme:
     return Scheme(cells)
 
 
+def with_empty_columns(s: Scheme, pad: int | None) -> Scheme:
+    """s with `pad` all-zero columns in front (s itself for None), which
+    moves every literal's bit and the complement offset n of a clause mask."""
+    if pad is None:
+        return s
+    return Scheme(np.hstack([np.zeros((s.m, pad), dtype=np.int8), s.cells]))
+
+
 def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Scheme:
     """round(ratio * n) clauses, each on 3 distinct random columns with random signs."""
     rows = []

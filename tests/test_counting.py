@@ -14,7 +14,7 @@ from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
 from satscheme.scheme_core import Scheme, orthogonal
 
-from conftest import random_clause_set, random_scheme, wide_clause_set
+from conftest import random_clause_set, random_scheme, wide_clause_set, with_empty_columns
 
 
 def test_count_f5_partials(f5):
@@ -192,10 +192,12 @@ def _clusters_reference(s):
     return partials, clusters
 
 
-def test_count_by_cliques_matches_subset_enumeration():
+@pytest.mark.parametrize("pad", [None, 20])
+def test_count_by_cliques_matches_subset_enumeration(pad):
     rng = random.Random(431)
     for i in range(360):
         s = random_clause_set(rng, m_max=10) if i < 300 else wide_clause_set(rng, m_max=10)
+        s = with_empty_columns(s, pad)
         res = count_by_cliques(s)
         partials, clusters = _clusters_reference(s)
         assert (res.partials, res.cluster_count) == (partials, clusters)

@@ -32,7 +32,7 @@ from satscheme.transforms import (
 from satscheme import transforms
 from satscheme.checks import check_resolution_chain
 
-from conftest import random_clause_set, random_scheme, wide_clause_set
+from conftest import random_clause_set, random_scheme, wide_clause_set, with_empty_columns
 
 
 def _solutions(s):
@@ -612,11 +612,13 @@ def _same(a, b):
     return a.cells.shape == b.cells.shape and np.array_equal(a.cells, b.cells)
 
 
-def test_clause_set_operations_match_loop_references():
+@pytest.mark.parametrize("pad", [None, 1, 7])
+def test_clause_set_operations_match_loop_references(pad):
     rng = random.Random(421)
     merged = dropped = wide_merged = 0
     for i in range(650):
         s = random_clause_set(rng) if i < 500 else wide_clause_set(rng, m_max=40)
+        s = with_empty_columns(s, pad)
         got = shrink(s)
         assert _same(got, _shrink_reference(s))
         merged += got.m < s.m
