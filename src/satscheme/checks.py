@@ -115,8 +115,7 @@ def check_coefficient_bound(p: PBForm) -> Verdict:
 
     u(x) = C - (terms); the terms are bounded by the sum of absolute
     coefficient values, so if that mass is strictly below C then u stays
-    positive everywhere.  Exact integer comparison at the form's scale;
-    also applied to reduced subformulas by the minimizer.
+    positive everywhere.  Exact integer comparison at the form's scale.
     """
     mass = p.coefficient_mass()
     evidence = {"constant": Dyadic(p.const, p.scale_exp), "mass": Dyadic(mass, p.scale_exp)}

@@ -283,14 +283,15 @@ def _cmd_solve(args) -> int:
             "count": report.count,
         }
     elif method == "split":
-        sat, chain = transforms.metavariable_eliminate(s, _parse_order(args.order, s.n))
+        # the clause counts only, so no grid is built per step
+        sat, states, _ = transforms._eliminate_all(s, _parse_order(args.order, s.n))
         payload = {
             "method": method,
             "satisfiable": sat,
-            "chain_rows": [c.m for c in chain],
+            "chain_rows": [len(clauses) for clauses in states],
         }
     elif method == "minimize":
-        outcome = minimizer.minimize_u(s, order=_parse_order(args.order, s.n))
+        outcome = minimizer.minimize_u(s, order=_parse_order(args.order, s.n), branch_limit=args.branch_limit)
         sat = outcome.satisfiable
         payload = {
             "method": method,
@@ -319,10 +320,7 @@ def _cmd_minimize(args) -> int:
             "minimizer": _witness_json(outcome.minimizer),
             "branch_count": outcome.branch_count,
             "shortcut_hits": outcome.shortcut_hits,
-            "trace": [
-                {**e, "var": e["var"] + 1} if "var" in e else e for e in outcome.trace
-            ],
-            "shortcut_events": outcome.shortcut_events,
+            "trace": [{**e, "var": e["var"] + 1} for e in outcome.trace],
         }
     )
     return EXIT_SAT if outcome.satisfiable else EXIT_UNSAT
@@ -367,6 +365,15 @@ def _add_input_opts(p: argparse.ArgumentParser) -> None:
 
 def _add_text_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument("--text", action="store_true", help="grid/plain output instead of JSON")
+
+
+def _add_branch_limit_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--branch-limit",
+        type=int,
+        default=minimizer.BRANCH_LIMIT,
+        help=f"minimizer branch budget (default {minimizer.BRANCH_LIMIT})",
+    )
 
 
 @functools.cache
@@ -427,13 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("2sat", "horn", "oracle", "split", "minimize"), required=True)
     p.add_argument("--order", help="comma-separated 1-based variable order (split/minimize)")
     p.add_argument("--limit", type=int, default=None, help="oracle variable cap override")
+    _add_branch_limit_opt(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("minimize", help="exact minimum of the violated-clause count")
     _add_input_opts(p)
     p.add_argument("--order", help="comma-separated 1-based elimination order")
-    p.add_argument("--no-shortcut", action="store_true", help="disable the coefficient-mass prune")
-    p.add_argument("--branch-limit", type=int, default=None)
+    p.add_argument("--no-shortcut", action="store_true", help="disable the unit-pair lower bound")
+    _add_branch_limit_opt(p)
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("extend", help="append adverse-parity partner clauses")

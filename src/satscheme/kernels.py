@@ -56,14 +56,12 @@ __all__ = [
     "backend",
     "assignment_scan",
     "cubic_form_scan",
-    "assignment_profile",
     "decode_assignment",
 ]
 
 # Codes per matrix product; a chunk spans max(1, _CHUNK_ENTRIES >> lo) high
 # rows.  Of 2**14..2**18, 2**15 scanned fastest (both scans, n = 17..20).
 _CHUNK_ENTRIES = 1 << 15
-_BLOCK_BITS = 16
 
 
 def backend() -> str:
@@ -244,44 +242,3 @@ def cubic_form_scan(n: int, lam: np.ndarray, nu_idx: np.ndarray, nu_val: np.ndar
         if max_val is None or val[b] > max_val:
             max_val, max_code = float(val[b]), (start << lo) + b
     return min_val, min_code, max_val, max_code
-
-
-# --- reference profile -------------------------------------------------------
-
-def _signs_for_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    bits = (codes[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (bits * 2 - 1).astype(np.int8)
-
-
-def _block_violations(fmat: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Violated-clause count for each assignment code in the block."""
-    m, n = fmat.shape
-    X = _signs_for_codes(codes, n)
-    u = np.zeros(len(codes), np.int64)
-    for i in range(m):
-        sup = np.nonzero(fmat[i])[0]
-        if sup.size == 0:
-            u += 1
-        else:
-            u += ~(X[:, sup] == fmat[i, sup]).any(axis=1)
-    return u
-
-
-def assignment_profile(fmat: np.ndarray, limit: int = 24) -> np.ndarray:
-    """Violated-clause count for every assignment code, as one array.
-
-    Materializes 2**n values, so n is capped (default 24).  This is an
-    analysis/test surface evaluated clause by clause, independent of the
-    split-and-multiply scan, not a hot aggregate.
-    """
-    fmat = np.ascontiguousarray(fmat, dtype=np.int8)
-    n = fmat.shape[1]
-    if n > limit:
-        raise ValueError(f"n={n} exceeds profile limit {limit}")
-    total = 1 << n
-    out = np.empty(total, np.int64)
-    block = min(total, 1 << _BLOCK_BITS)
-    for base in range(0, total, block):
-        codes = np.arange(base, min(base + block, total), dtype=np.int64)
-        out[base : base + len(codes)] = _block_violations(fmat, codes)
-    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import kernels
 from .scheme_core import Scheme
 
-__all__ = ["OracleReport", "oracle_scan", "naive_scan", "DEFAULT_LIMIT"]
+__all__ = ["OracleReport", "oracle_scan", "DEFAULT_LIMIT"]
 
 DEFAULT_LIMIT = 30
 SOLUTION_LIST_LIMIT = 16
@@ -54,40 +54,4 @@ def oracle_scan(s: Scheme, limit: int | None = None) -> OracleReport:
         u_min=int(u_min),
         u_histogram=histogram,
         witness=kernels.decode_assignment(int(min_code), s.n),
-    )
-
-
-def naive_scan(s: Scheme) -> OracleReport:
-    """Plain nested-loop reference for the kernel scan (small n only).
-
-    Exists so the split-and-multiply scan can be checked against code nobody
-    can get wrong.
-    """
-    if s.n > 16:
-        raise ValueError("naive_scan is a reference implementation; keep n <= 16")
-    rows = [s.row_support(i) for i in range(s.m)]
-    signs = [tuple(int(s.cells[i, j]) for j in s.row_support(i)) for i in range(s.m)]
-    count = 0
-    u_min = None
-    witness = None
-    histogram: dict[int, int] = {}
-    solutions = []
-    for code in range(1 << s.n):
-        x = kernels.decode_assignment(code, s.n)
-        u = 0
-        for sup, sgn in zip(rows, signs):
-            if not any(x[j] == f for j, f in zip(sup, sgn)):
-                u += 1
-        histogram[u] = histogram.get(u, 0) + 1
-        if u_min is None or u < u_min:
-            u_min, witness = u, x
-        if u == 0:
-            count += 1
-            solutions.append(x)
-    return OracleReport(
-        count=count,
-        solutions=tuple(solutions),
-        u_min=u_min,
-        u_histogram=histogram,
-        witness=witness,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "unsat_count_direct",
     "extend",
     "serialize_polynomial",
-    "scaled_profile",
 ]
 
 
@@ -312,15 +311,3 @@ def to_json_dict(p: PBForm) -> dict:
         "nu": {",".join(map(str, idx)): c for idx, c in terms if len(idx) == 3},
         "polynomial": serialize_polynomial(p),
     }
-
-
-def scaled_profile(p: PBForm, limit: int = 20) -> tuple[int, np.ndarray]:
-    """(scale, values) with values[code] = scale * u(assignment code), exact int64.
-
-    Vectorized over all 2**n assignments for test/validation use at small n.
-    """
-    if p.n > limit:
-        raise ValueError(f"n={p.n} exceeds profile limit {limit}")
-    codes = np.arange(1 << p.n, dtype=np.int64)
-    X = ((codes[:, None] >> np.arange(p.n, dtype=np.int64)[None, :]) & 1) * 2 - 1
-    return p.scale, p.values(X)

@@ -6,14 +6,15 @@ Satisfiability preserving: remove_pure_columns, assign, accept_facts, split,
 resolve (both Davis-Putnam variable elimination), metavariable elimination
 and the READ-3 occurrence reduction.
 
-`_eliminate` is the one Davis-Putnam loop; `metavariable_eliminate` and
-`checks.check_resolution_chain` both run it.  Each of its steps gives the
-rows of `resolve` followed by `drop_subsumed`, computed on one Python int per
-clause, with only the new resolvents tested for subsumption.  Every job that
-compares clauses in pairs runs on those clause masks (`_masks`): the
-engine's subsumption, `drop_subsumed`, `shrink` and the compatibility graph
-of `counting.count_by_cliques`.  `resolve` and `split` stay on whole-array
-grids, where one broadcast beats converting to masks and back.
+`_eliminate` is the one Davis-Putnam loop; `metavariable_eliminate`,
+`solve --method split` and `checks.check_resolution_chain` all run it.  Each
+of its steps gives the rows of `resolve` followed by `drop_subsumed`,
+computed on one Python int per clause, with only the new resolvents tested
+for subsumption.  Every job that compares clauses in pairs runs on those
+clause masks (`_masks`): the engine's subsumption, `drop_subsumed`, `shrink`
+and the compatibility graph of `counting.count_by_cliques`.  `resolve` and
+`split` stay on whole-array grids, where one broadcast beats converting to
+masks and back.
 """
 
 from __future__ import annotations
@@ -476,6 +477,21 @@ def _back_substitute(s: Scheme, eliminated: list[int], on_var: list[list[int]]) 
     return witness
 
 
+def _eliminate_all(s: Scheme, order: Sequence[int] | None = None) -> tuple[bool, list[list[int]], list[int]]:
+    """(satisfiable, states, eliminated) of `_eliminate` over a full permutation of the columns.
+
+    Raises ValueError when a step would pass RESOLUTION_ROW_LIMIT clauses.
+    """
+    if order is not None:
+        order = _check_permutation(order, s.n, "elimination")
+    states, eliminated, witness, over_budget = _eliminate(s, order)
+    if over_budget:
+        raise ValueError(
+            f"metavariable_eliminate refuses a step past the clause budget {RESOLUTION_ROW_LIMIT}"
+        )
+    return witness is not None, states, eliminated
+
+
 def metavariable_eliminate(
     s: Scheme, order: Sequence[int] | None = None
 ) -> tuple[bool, list[Scheme]]:
@@ -486,19 +502,13 @@ def metavariable_eliminate(
     holds the input and then the scheme after each elimination.  Raises
     ValueError when a step would pass RESOLUTION_ROW_LIMIT clauses.
     """
-    if order is not None:
-        order = _check_permutation(order, s.n, "elimination")
-    states, eliminated, witness, over_budget = _eliminate(s, order)
-    if over_budget:
-        raise ValueError(
-            f"metavariable_eliminate refuses a step past the clause budget {RESOLUTION_ROW_LIMIT}"
-        )
+    sat, states, eliminated = _eliminate_all(s, order)
     cols = list(range(s.n))
     chain = [s]
     for clauses, v in zip(states[1:], eliminated):
         cols.remove(v)
         chain.append(_scheme_of(clauses, s.n, cols))
-    return witness is not None, chain
+    return sat, chain
 
 
 def reduce_read3(s: Scheme) -> Scheme:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from satscheme.fixtures import fixture
+from satscheme.kernels import decode_assignment
+from satscheme.oracle import OracleReport
+from satscheme.pseudo_boolean import PBForm
 from satscheme.scheme_core import Scheme
 
 
@@ -118,3 +121,86 @@ def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Scheme:
             row[c] = rng.choice((1, -1))
         rows.append(row)
     return Scheme.from_rows(rows, n=n)
+
+
+# --- test references -----------------------------------------------------------
+#
+# Plain, independent evaluations that the package's scans are checked against.
+
+def naive_scan(s: Scheme) -> OracleReport:
+    """Plain nested-loop reference for the kernel scan (small n only)."""
+    if s.n > 16:
+        raise ValueError("naive_scan is a reference implementation; keep n <= 16")
+    rows = [s.row_support(i) for i in range(s.m)]
+    signs = [tuple(int(s.cells[i, j]) for j in s.row_support(i)) for i in range(s.m)]
+    count = 0
+    u_min = None
+    witness = None
+    histogram: dict[int, int] = {}
+    solutions = []
+    for code in range(1 << s.n):
+        x = decode_assignment(code, s.n)
+        u = 0
+        for sup, sgn in zip(rows, signs):
+            if not any(x[j] == f for j, f in zip(sup, sgn)):
+                u += 1
+        histogram[u] = histogram.get(u, 0) + 1
+        if u_min is None or u < u_min:
+            u_min, witness = u, x
+        if u == 0:
+            count += 1
+            solutions.append(x)
+    return OracleReport(
+        count=count,
+        solutions=tuple(solutions),
+        u_min=u_min,
+        u_histogram=histogram,
+        witness=witness,
+    )
+
+
+def _signs_for_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    bits = (codes[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
+    return (bits * 2 - 1).astype(np.int8)
+
+
+def _block_violations(fmat: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Violated-clause count for each assignment code in the block."""
+    m, n = fmat.shape
+    X = _signs_for_codes(codes, n)
+    u = np.zeros(len(codes), np.int64)
+    for i in range(m):
+        sup = np.nonzero(fmat[i])[0]
+        if sup.size == 0:
+            u += 1
+        else:
+            u += ~(X[:, sup] == fmat[i, sup]).any(axis=1)
+    return u
+
+
+def assignment_profile(fmat: np.ndarray, limit: int = 24) -> np.ndarray:
+    """Violated-clause count for every assignment code, as one array.
+
+    Materializes 2**n values, so n is capped (default 24).  Evaluated clause
+    by clause, independent of the split-and-multiply scan.
+    """
+    fmat = np.ascontiguousarray(fmat, dtype=np.int8)
+    n = fmat.shape[1]
+    if n > limit:
+        raise ValueError(f"n={n} exceeds profile limit {limit}")
+    total = 1 << n
+    out = np.empty(total, np.int64)
+    block = min(total, 1 << 16)
+    for base in range(0, total, block):
+        codes = np.arange(base, min(base + block, total), dtype=np.int64)
+        out[base : base + len(codes)] = _block_violations(fmat, codes)
+    return out
+
+
+def scaled_profile(p: PBForm, limit: int = 20) -> tuple[int, np.ndarray]:
+    """(scale, values) with values[code] = scale * u(assignment code), exact int64."""
+    if p.n > limit:
+        raise ValueError(f"n={p.n} exceeds profile limit {limit}")
+    codes = np.arange(1 << p.n, dtype=np.int64)
+    X = ((codes[:, None] >> np.arange(p.n, dtype=np.int64)[None, :]) & 1) * 2 - 1
+    return p.scale, p.values(X)

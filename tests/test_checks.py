@@ -22,7 +22,7 @@ from satscheme.checks import (
 )
 from satscheme.dyadic import Dyadic
 from satscheme.oracle import oracle_scan
-from satscheme.pseudo_boolean import eval_u, pb_coefficients, scaled_profile, unsat_count_direct
+from satscheme.pseudo_boolean import eval_u, pb_coefficients, unsat_count_direct
 from satscheme.scheme_core import Scheme, evaluate
 from satscheme.transforms import assign, drop_subsumed, flip, metavariable_eliminate
 

@@ -11,7 +11,8 @@ import pytest
 import satscheme
 from satscheme.cli import build_parser, main
 from satscheme.fixtures import fixture
-from satscheme.scheme_core import emit_dimacs, parse_scheme_text
+from satscheme.scheme_core import emit_dimacs, parse_dimacs, parse_scheme_text, unsat_count_direct
+from satscheme.transforms import metavariable_eliminate
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -82,6 +83,27 @@ def test_solve_split_chain(capsys, tmp_path):
     assert payload["chain_rows"] == [5, 4, 3, 2]
 
 
+def test_solve_split_rows_match_the_chain_without_grids(capsys, monkeypatch):
+    rng = random.Random(37)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        text = _random_3sat_dimacs(rng, n, rng.randint(1, 40))
+        order = rng.sample(range(1, n + 1), n) if rng.random() < 0.5 else None
+        s = parse_dimacs(text)
+        cases.append((text, order, [c.m for c in metavariable_eliminate(s, order and [v - 1 for v in order])[1]]))
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(satscheme.transforms, "_scheme_of", no_grid)
+    for text, order, rows in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = ["solve", "--method", "split"] + (["--order", ",".join(map(str, order))] if order else [])
+        main(argv)
+        assert json.loads(capsys.readouterr().out)["chain_rows"] == rows
+
+
 SPLIT_BUDGET_DIMACS = "p cnf 3 900\n" + "1 2 0\n" * 450 + "-1 3 0\n" * 450
 
 
@@ -133,8 +155,12 @@ def test_minimize_json(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert code == 20
     assert payload["u_min"] == "1"
-    assert payload["trace"][0] == {"var": 1, "case": "i", "value": -1}
-    assert payload["shortcut_hits"] == 1
+    assert payload["trace"][0] == {"var": 2, "case": "branch", "value": -1}
+    assert (payload["branch_count"], payload["shortcut_hits"]) == (3, 1)
+    assert "shortcut_events" not in payload
+    # the minimizer, 1-based booleans, violates exactly u_min clauses
+    minimizer = [1 if v else -1 for v in payload["minimizer"]]
+    assert unsat_count_direct(parse_scheme_text(f.read_text()), minimizer) == 1
 
 
 def test_read3_and_extend(capsys, tmp_path):
@@ -327,15 +353,20 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
             "oracle refuses n=4 > limit 2; raise the limit explicitly",
         ),
         (["count"], "p cnf 64 1\n1 64 0\n", "count_solutions refuses n=64 > limit 63"),
-        (  # without the prune this formula needs 3 branches
+        (  # this formula needs more than one branch
             ["minimize", "--no-shortcut", "--branch-limit", "1"],
+            _random_3sat_dimacs(random.Random(3), 8, 34),
+            "exceeded branch limit 1; no answer returned",
+        ),
+        (
+            ["solve", "--method", "minimize", "--branch-limit", "1"],
             _random_3sat_dimacs(random.Random(3), 8, 34),
             "exceeded branch limit 1; no answer returned",
         ),
         (["parse"], '{"scheme_text": 5}', "JSON 'scheme_text' must be a string, not int"),
         (["parse"], '{"scheme_text": ["+ -"]}', "JSON 'scheme_text' must be a string, not list"),
     ],
-    ids=["oracle", "solve-oracle", "count", "minimize", "scheme-text-int", "scheme-text-list"],
+    ids=["oracle", "solve-oracle", "count", "minimize", "solve-minimize", "scheme-text-int", "scheme-text-list"],
 )
 def test_budget_and_input_errors_exit_1(capsys, monkeypatch, argv, stdin_text, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from satscheme import kernels
-from satscheme.oracle import naive_scan
 from satscheme.scheme_core import Scheme
 
-from conftest import random_scheme
+from conftest import assignment_profile, naive_scan, random_scheme
 
 
 def _random_cubic(rng, n):
@@ -48,7 +47,7 @@ def _assert_scan_matches(s: Scheme):
     plain = kernels.assignment_scan(s.cells)
     assert plain[:3] == (count, u_min, min_code)
     assert np.array_equal(plain[3], hist) and plain[4].tolist() == []
-    profile = kernels.assignment_profile(s.cells)
+    profile = assignment_profile(s.cells)
     assert count == int((profile == 0).sum())
     assert u_min == int(profile.min())
     assert min_code == int(profile.argmin())  # smallest code attaining u_min
@@ -110,7 +109,7 @@ def test_assignment_scan_cross_chunk_tie():
     s = Scheme.from_rows(rows, n=n)
     assert len(kernels._chunks(n)[1]) > 1
     _assert_scan_matches(s)
-    profile = kernels.assignment_profile(s.cells)
+    profile = assignment_profile(s.cells)
     assert profile[1 << 18 :].min() == profile.min()
 
 
@@ -213,7 +212,7 @@ def test_assignment_profile_matches_scan():
     rng = random.Random(109)
     for _ in range(30):
         s = random_scheme(rng, n_max=8, m_max=10, empty_row_prob=0.1)
-        profile = kernels.assignment_profile(s.cells)
+        profile = assignment_profile(s.cells)
         _, u_min, min_code, hist, _ = kernels.assignment_scan(s.cells)
         assert profile.min() == u_min
         assert np.array_equal(
@@ -224,7 +223,7 @@ def test_assignment_profile_matches_scan():
 
 def test_assignment_profile_limit():
     with pytest.raises(ValueError):
-        kernels.assignment_profile(Scheme.empty(25).cells)
+        assignment_profile(Scheme.empty(25).cells)
 
 
 def test_backend_is_numpy():

@@ -12,11 +12,11 @@ from satscheme.minimizer import (
     s_factor,
 )
 from satscheme.oracle import oracle_scan
-from satscheme.pseudo_boolean import eval_u, pb_coefficients
+from satscheme.pseudo_boolean import eval_u, pb_coefficients, unsat_count_direct
 from satscheme.scheme_core import Scheme, evaluate
 from satscheme.transforms import assign, reduce_read3
 
-from conftest import random_scheme
+from conftest import random_3sat, random_scheme
 
 
 # --- swing factors -------------------------------------------------------------
@@ -86,13 +86,16 @@ def test_minimize_f5(f5):
     out = minimize_u(f5)
     assert out.u_min == Dyadic(1)
     assert not out.satisfiable
-    assert out.branch_count == 0
-    assert out.trace[0] == {"var": 0, "case": "i", "value": -1}
-    assert out.shortcut_hits == 1
-    ev = out.shortcut_events[0]
-    assert ev["constant"].scaled(3) == 11
-    assert ev["mass"].scaled(3) == 9
+    assert unsat_count_direct(f5, out.minimizer) == 1
+    assert (out.branch_count, out.shortcut_hits) == (3, 1)
     assert oracle_scan(f5).u_min == 1
+    # the paper's path: S_1 >= 0 forces x1 = -1 (case i), and then the
+    # coefficient mass 9 stays below the constant 11 (at scale 2**3)
+    assert s_factor(f5, 0).case == "i"
+    verdict = check_coefficient_bound(pb_coefficients(assign(f5, 0, False)))
+    assert verdict.kind is VerdictKind.UNSAT_CERTIFIED
+    assert verdict.evidence["constant"].scaled(3) == 11
+    assert verdict.evidence["mass"].scaled(3) == 9
 
 
 def test_minimize_f5_shortcut_off_identical(f5):
@@ -104,10 +107,13 @@ def test_minimize_f5_shortcut_off_identical(f5):
 
 
 def test_minimize_gext_no_branching(gext, g):
+    # the paper's search fixes every variable of G' by a sign-constant S
+    reference = _ReferenceSearch(shortcut=True)
+    assert reference.run(gext, list(range(gext.n)), list(range(gext.n)))[0] == 0
+    assert reference.branch_count == 0
     out = minimize_u(gext)
     assert out.u_min == Dyadic(0)
     assert out.satisfiable
-    assert out.branch_count == 0
     assert evaluate(gext, out.minimizer)
     assert evaluate(g, out.minimizer)
 
@@ -155,9 +161,37 @@ def test_minimize_shortcut_equivalence_on_randoms():
         off = minimize_u(s, shortcut=False)
         assert on.u_min == off.u_min
         assert on.satisfiable == off.satisfiable
+        assert off.shortcut_hits == 0
 
 
-# --- folded child forms ------------------------------------------------------
+def test_minimize_matches_oracle_in_random_orders():
+    rng = random.Random(431)
+    satisfiable = 0
+    for _ in range(1000):
+        s = random_scheme(rng, n_max=10, m_max=35, empty_row_prob=rng.choice((0.0, 0.05)))
+        order = list(range(s.n)) if rng.random() < 0.5 else rng.sample(range(s.n), s.n)
+        out = minimize_u(s, order=order)
+        assert out.u_min == Dyadic(oracle_scan(s).u_min)
+        assert unsat_count_direct(s, out.minimizer) == out.u_min
+        satisfiable += out.satisfiable
+    assert 200 < satisfiable < 800
+
+
+def test_branch_limit_stops_exactly_past_the_count():
+    rng = random.Random(433)
+    branched = 0
+    for _ in range(300):
+        s = random_scheme(rng, n_max=10, m_max=35, empty_row_prob=0.05)
+        out = minimize_u(s, branch_limit=None)
+        assert minimize_u(s, branch_limit=out.branch_count) == out
+        if out.branch_count:
+            branched += 1
+            with pytest.raises(BranchLimitExceeded, match=f"exceeded branch limit {out.branch_count - 1};"):
+                minimize_u(s, branch_limit=out.branch_count - 1)
+    assert branched > 200
+
+
+# --- the paper's S-factor search as a reference ------------------------------
 
 def _folding_scheme(rng: random.Random) -> Scheme:
     """Random 3-SAT with empty and unit clauses, plus partner rows that flip one
@@ -174,53 +208,13 @@ def _folding_scheme(rng: random.Random) -> Scheme:
     return Scheme.from_rows(rows, n=s.n)
 
 
-def _flat_in_root_indexing(layout, want, var, shift):
-    """`want`, the form of the formula with column `var` removed, laid out
-    like the root's flat vector and rescaled to the root's scale.  Every
-    term of `want` must have a slot there."""
-    n = want.n + 1
-    root = [j for j in range(n) if j != var]  # want's column j is root[j]
-    c = np.zeros_like(layout.c)
-    c[0] = want.const << shift
-    c[1 + np.array(root, dtype=int)] = want.lam << shift
-    pair_slot = {(int(k) // n, int(k) % n): 1 + n + t for t, k in enumerate(layout.keys)}
-    tri_slot = {tuple(t): 1 + n + len(layout.keys) + i for i, t in enumerate(layout.tri.tolist())}
-    for j, k in zip(*np.nonzero(np.triu(want.mu))):
-        assert (root[j], root[k]) in pair_slot
-        c[pair_slot[root[j], root[k]]] = int(want.mu[j, k]) << shift
-    for t, val in zip(want.nu_idx.tolist(), want.nu_val.tolist()):
-        key = tuple(root[j] for j in t)
-        assert key in tri_slot
-        c[tri_slot[key]] = val << shift
-    return c
-
-
-def test_fold_equals_rebuilt_child_form():
+def test_minimize_on_cancelling_partner_rows():
     rng = random.Random(401)
-    pairs_cancelled = triples_cancelled = 0
     for _ in range(400):
         s = _folding_scheme(rng)
-        p = pb_coefficients(s)
-        var, value = rng.randrange(s.n), rng.choice((-1, 1))
-        rank = np.array([0 if j == var else j + 1 for j in range(s.n)])
-        layout = minimizer._Layout(p, rank)
-        src, dst, _, _ = layout.slots(0)
-        got = minimizer._fold(layout.c, src, dst, layout.c[src], value)
-        want = pb_coefficients(assign(s, var, value == 1))
-        shift = p.scale_exp - want.scale_exp
-        assert shift >= 0
-        assert got.tolist() == _flat_in_root_indexing(layout, want, var, shift).tolist()
-        # the dead slots, the monomials on `var`, are 0
-        on_var = [1 + var]
-        on_var += [1 + s.n + t for t, k in enumerate(layout.keys) if var in (k // s.n, k % s.n)]
-        on_var += [1 + s.n + len(layout.keys) + i for i, t in enumerate(layout.tri.tolist()) if var in t]
-        assert sorted(src.tolist()) == on_var and not got[on_var].any()
-        together = np.abs(s.cells.astype(int)).T @ np.abs(s.cells.astype(int)) != 0
-        np.fill_diagonal(together, False)
-        pairs_cancelled += int((together & (p.mu == 0)).any())
-        supports = {tuple(np.flatnonzero(r)) for r in s.cells if np.count_nonzero(r) == 3}
-        triples_cancelled += int(len(supports) > len(p.nu_idx))
-    assert pairs_cancelled > 20 and triples_cancelled > 20  # the partner rows cancel terms
+        out = minimize_u(s)
+        assert out.u_min == Dyadic(oracle_scan(s).u_min)
+        assert unsat_count_direct(s, out.minimizer) == out.u_min
 
 
 def _reference_s_table(p, var):
@@ -239,129 +233,61 @@ def _reference_s_table(p, var):
 
 
 class _ReferenceSearch:
-    """The search as it was before folding: every node materializes its
-    reduced scheme with `assign` and rebuilds its form with `pb_coefficients`."""
+    """The paper's S-factor search: variables are fixed in `order`, a
+    sign-constant S forces its variable, and every node materializes its
+    reduced scheme with `assign` and rebuilds its form with `pb_coefficients`.
+    With `shortcut`, a subtree whose coefficient mass proves u > 0 is
+    finished by a scan."""
 
-    def __init__(self, shortcut, branch_limit):
+    def __init__(self, shortcut):
         self.shortcut = shortcut
-        self.branch_limit = branch_limit
         self.branch_count = 0
-        self.shortcut_hits = 0
-        self.events = []
 
     def run(self, cur, col_ids, order):
+        """(least violated-clause count, fixed values) below `cur`."""
         if cur.m == 0:
-            return 0, {}, []
+            return 0, {}
         if not col_ids:
-            return cur.m, {}, []
+            return cur.m, {}
         p = pb_coefficients(cur, "canonical")
-        if self.shortcut:
-            verdict = check_coefficient_bound(p)
-            if verdict.kind is VerdictKind.UNSAT_CERTIFIED:
-                self.shortcut_hits += 1
-                self.events.append(
-                    {
-                        "constant": verdict.evidence["constant"],
-                        "mass": verdict.evidence["mass"],
-                        "scale": p.scale,
-                        "vars_left": len(col_ids),
-                    }
-                )
-                _, u_min, min_code, _, _ = kernels.assignment_scan(cur.cells)
-                values = kernels.decode_assignment(int(min_code), cur.n)
-                fixed = {col_ids[j]: values[j] for j in range(cur.n)}
-                return int(u_min), fixed, [{"case": "shortcut-scan", "vars_left": len(col_ids)}]
+        if self.shortcut and check_coefficient_bound(p).kind is VerdictKind.UNSAT_CERTIFIED:
+            _, u_min, min_code, _, _ = kernels.assignment_scan(cur.cells)
+            values = kernels.decode_assignment(int(min_code), cur.n)
+            return int(u_min), {col_ids[j]: values[j] for j in range(cur.n)}
         var = next(v for v in order if v in col_ids)
         local = col_ids.index(var)
         _, vals = _reference_s_table(p, local)
         if vals.min() >= 0:
-            case, choices = "i", (-1,)
+            choices = (-1,)
         elif vals.max() <= 0:
-            case, choices = "ii", (1,)
+            choices = (1,)
         else:
-            case, choices = "iii", (-1, 1)
+            choices = (-1, 1)
             self.branch_count += 1
-            if self.branch_limit is not None and self.branch_count > self.branch_limit:
-                raise BranchLimitExceeded(f"exceeded branch limit {self.branch_limit}; no answer returned")
         best = None
         rest_ids = col_ids[:local] + col_ids[local + 1 :]
-        rest_order = [v for v in order if v != var]
         for value in choices:
-            child = assign(cur, local, value == 1)
-            u_val, fixed, trace = self.run(child, rest_ids, rest_order)
-            cand = (u_val, {var: value, **fixed}, [{"var": var, "case": case, "value": value}] + trace)
-            if best is None or cand[0] < best[0]:
-                best = cand
+            u_val, fixed = self.run(assign(cur, local, value == 1), rest_ids, order)
+            if best is None or u_val < best[0]:
+                best = (u_val, {var: value, **fixed})
             if best[0] == 0:
                 break
         return best
 
 
-def _event_keys(events):
-    return tuple((repr(e["constant"]), repr(e["mass"]), e["scale"], e["vars_left"]) for e in events)
-
-
-def _outcome_fields(s, order, shortcut, branch_limit):
-    """The six outcome fields (events by Dyadic repr and scale), or the error."""
-    try:
-        out = minimize_u(s, order=order, shortcut=shortcut, branch_limit=branch_limit)
-    except (BranchLimitExceeded, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    return (
-        repr(out.u_min),
-        out.minimizer,
-        out.branch_count,
-        out.shortcut_hits,
-        out.trace,
-        _event_keys(out.shortcut_events),
-    )
-
-
-def _reference_fields(s, order, shortcut, branch_limit):
-    search = _ReferenceSearch(shortcut, branch_limit)
-    try:
-        u_min, fixed, trace = search.run(s, list(range(s.n)), order)
-    except (BranchLimitExceeded, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    return (
-        repr(Dyadic(u_min)),
-        tuple(fixed.get(j, -1) for j in range(s.n)),
-        search.branch_count,
-        search.shortcut_hits,
-        tuple(trace),
-        _event_keys(search.events),
-    )
-
-
 def test_folded_search_matches_per_node_rebuild():
     rng = random.Random(409)
-    limited = raised = hits = 0
     for _ in range(1000):
         s = _folding_scheme(rng) if rng.random() < 0.3 else random_scheme(
             rng, n_max=10, m_max=35, k_max=3, empty_row_prob=rng.choice((0.0, 0.05))
         )
         order = list(range(s.n)) if rng.random() < 0.5 else rng.sample(range(s.n), s.n)
         shortcut = rng.random() < 0.7
-        branch_limit = rng.choice((None, None, 0, 1, 3))
-        want = _reference_fields(s, order, shortcut, branch_limit)
-        assert _outcome_fields(s, order, shortcut, branch_limit) == want
-        limited += branch_limit is not None
-        raised += want[0] == "BranchLimitExceeded"
-        hits += len(want) == 6 and want[3] > 0
-    assert limited > 200 and raised > 50 and hits > 200
-
-
-def test_shortcut_event_scale_is_the_reduced_grid_width():
-    # x1 = -1 satisfies both clauses with -x1 and empties the unit (x1):
-    # the reduced grid is one empty row, scale 2**0, while the folded form
-    # is still held at the root's scale 2**3
-    s = Scheme.from_rows([[-1, -1, 0, -1], [1, 0, 0, 0], [-1, 0, 0, -1]])
-    out = minimize_u(s)
-    assert out.shortcut_events == (
-        {"constant": Dyadic(1), "mass": Dyadic(0), "scale": 1, "vars_left": 3},
-    )
-    assert out.trace[0] == {"var": 0, "case": "iii", "value": 1}
-    assert out.u_min == Dyadic(0) and out.branch_count == 1
+        want, fixed = _ReferenceSearch(shortcut).run(s, list(range(s.n)), order)
+        assert unsat_count_direct(s, [fixed.get(j, -1) for j in range(s.n)]) == want
+        out = minimize_u(s, order=order, shortcut=shortcut)
+        assert out.u_min == Dyadic(want)
+        assert unsat_count_direct(s, out.minimizer) == want
 
 
 # --- S-table blocks --------------------------------------------------------------
@@ -386,12 +312,10 @@ def test_s_blocks_equal_unblocked(monkeypatch, block):
     whole = []
     for s in schemes:
         var = 0 if s.n > 12 else rng.randrange(s.n)
-        whole.append((var, s_factor(s, var), minimize_u(s), minimize_u(s, shortcut=False)))
+        whole.append((var, s_factor(s, var)))
     monkeypatch.setattr(minimizer, "S_BLOCK", block)
-    for s, (var, sf, on, off) in zip(schemes, whole):
+    for s, (var, sf) in zip(schemes, whole):
         assert s_factor(s, var) == sf
-        assert minimize_u(s) == on
-        assert minimize_u(s, shortcut=False) == off
 
 
 def test_s_tables_need_no_numpy_2_api(monkeypatch):
@@ -420,16 +344,13 @@ def test_s_table_memory_bounded_at_support_18():
 
 def test_s_factor_support_over_limit_raises():
     s = _star_scheme(26)
-    message = "S-factor support 26 exceeds limit 24"
-    with pytest.raises(ValueError, match=message):
-        minimize_u(s)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="S-factor support 26 exceeds limit 24"):
         s_factor(s, 0)
+    assert minimize_u(s).u_min == Dyadic(0)  # the branch and bound has no support limit
 
 
 def _band_scheme(n: int, width: int) -> Scheme:
-    """Clauses (x_i or x_j) for 0 < j - i <= width: fixing x_i leaves R_i with
-    `width` variables until the last columns, and every S forces x = +1."""
+    """Clauses (x_i or x_j) for 0 < j - i <= width."""
     rows = []
     for i in range(n):
         for j in range(i + 1, min(n, i + width + 1)):
@@ -439,60 +360,33 @@ def _band_scheme(n: int, width: int) -> Scheme:
     return Scheme.from_rows(rows, n=n)
 
 
-def test_s_table_cache_budget_at_n_32():
-    import tracemalloc
+# --- fixed cases -----------------------------------------------------------------
 
-    # 17 depths of 2**15-row tables, 76 MB if every one were kept
-    s = _band_scheme(32, 15)
-    tracemalloc.start()
-    try:
-        out = minimize_u(s, shortcut=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.u_min == Dyadic(0) and out.minimizer == (1,) * 31 + (-1,)
-    assert out.branch_count == 0 and len(out.trace) == 31
-    assert peak < 32 * 2**20
-
-
-# --- deferred shortcut scans ----------------------------------------------------
-
-def test_deferred_scans_run_only_when_a_value_decides(monkeypatch):
-    scans = []
-    full_scan = kernels.assignment_scan
-
-    def counting_scan(fmat, collect=False):
-        scans.append(fmat.shape)
-        return full_scan(fmat, collect)
-
-    monkeypatch.setattr(kernels, "assignment_scan", counting_scan)
-    rng = random.Random(431)
-    total_scans = total_hits = satisfiable = 0
-    for _ in range(1000):
-        s = random_scheme(rng, n_max=10, m_max=35, empty_row_prob=rng.choice((0.0, 0.05)))
-        order = list(range(s.n)) if rng.random() < 0.5 else rng.sample(range(s.n), s.n)
-        scans.clear()
-        out = minimize_u(s, order=order)
-        assert len(scans) <= out.shortcut_hits
-        if out.satisfiable:
-            assert not scans
-        total_scans += len(scans)
-        total_hits += out.shortcut_hits
-        satisfiable += out.satisfiable
-    assert 200 < satisfiable < 800
-    assert 0 < total_scans < total_hits  # some hits are never scanned
+# name: (formula, u_min or None for the oracle's, most branches)
+_FIXED_CASES = {
+    # the rows use one of the 40 columns; the others stay free at -1
+    "units-40": (lambda: Scheme.from_rows([[1] + [0] * 39, [-1] + [0] * 39]), 1, 1),
+    "band-32": (lambda: _band_scheme(32, 15), 0, 60),
+    # x1 = -1 empties the unit (x1) and satisfies the other two rows
+    "empty-unit": (lambda: Scheme.from_rows([[-1, -1, 0, -1], [1, 0, 0, 0], [-1, 0, 0, -1]]), 0, 2),
+    "r3-24-seed11": (lambda: random_3sat(random.Random(11), 24), None, 100),
+    "r3-24-seed12": (lambda: random_3sat(random.Random(12), 24), None, 100),
+    "r3-26-seed11": (lambda: random_3sat(random.Random(11), 26), None, 300),
+    "r3-26-seed12": (lambda: random_3sat(random.Random(12), 26), None, 150),
+    "ratio8-24-seed11": (lambda: random_3sat(random.Random(11), 24, 8.0), None, 3500),
+    "ratio8-24-seed12": (lambda: random_3sat(random.Random(12), 24, 8.0), None, 1000),
+}
 
 
-def test_shortcut_scan_covers_only_the_columns_its_rows_use():
-    import time
-
-    # the root's shortcut fires with 40 free columns, of which the rows use 1
-    s = Scheme.from_rows([[1] + [0] * 39, [-1] + [0] * 39])
-    start = time.perf_counter()
+@pytest.mark.parametrize("name", list(_FIXED_CASES))
+def test_minimize_fixed_cases(name):
+    build, u_min, most = _FIXED_CASES[name]
+    s = build()
+    if u_min is None:
+        u_min = oracle_scan(s).u_min
     out = minimize_u(s)
-    assert time.perf_counter() - start < 2
-    assert out.u_min == Dyadic(1) and out.minimizer == (-1,) * 40
-    assert out.trace == ({"case": "shortcut-scan", "vars_left": 40},)
-    assert out.shortcut_events == (
-        {"constant": Dyadic(1), "mass": Dyadic(0), "scale": 2, "vars_left": 40},
-    )
+    assert out.u_min == Dyadic(u_min)
+    assert unsat_count_direct(s, out.minimizer) == u_min
+    assert out.branch_count <= most
+    if name == "units-40":
+        assert out.minimizer == (-1,) * 40

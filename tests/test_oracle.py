@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from satscheme.oracle import naive_scan, oracle_scan
+from satscheme.oracle import oracle_scan
 from satscheme.scheme_core import Scheme, evaluate
 
-from conftest import random_scheme
+from conftest import naive_scan, random_scheme
 
 
 def test_oracle_f4(f4):

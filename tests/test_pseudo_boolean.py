@@ -6,7 +6,7 @@ import pytest
 
 from satscheme import kernels
 from satscheme.dyadic import Dyadic
-from satscheme.kernels import assignment_profile, decode_assignment
+from satscheme.kernels import decode_assignment
 from satscheme.oracle import oracle_scan
 from satscheme.pseudo_boolean import (
     ExtensionStrategy,
@@ -15,14 +15,13 @@ from satscheme.pseudo_boolean import (
     pb_coefficients,
     polarity_damped_weights,
     resolve_weights,
-    scaled_profile,
     serialize_polynomial,
     to_json_dict,
     unsat_count_direct,
 )
 from satscheme.scheme_core import Scheme, evaluate
 
-from conftest import random_scheme
+from conftest import assignment_profile, random_scheme, scaled_profile
 
 F5_POLY = "8u = 12 + x1 - 2x2 + 2x3 - 3x4 - x1x2 + x1x3 + x2x4 - x3x4 - x1x2x3 - x2x3x4"
 GEXT_POLY = "8u = 10 - 4x2 - 2x4 - 2x5 + 2x2x3 + 2x2x5 + 2x3x4"
