@@ -37,10 +37,6 @@ class Dyadic:
         object.__setattr__(self, "exp", exp)
 
     @classmethod
-    def from_int(cls, v: int) -> "Dyadic":
-        return cls(v, 0)
-
-    @classmethod
     def half_pow(cls, k: int) -> "Dyadic":
         """2**-k for k >= 0."""
         return cls(1, k)

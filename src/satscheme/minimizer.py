@@ -256,7 +256,8 @@ def minimize_u(
     (a permutation of the columns).  `shortcut` enables the unit-pair lower
     bound; the result is identical either way.  `branch_limit` (default
     BRANCH_LIMIT, None for unlimited) aborts runaway instances with
-    BranchLimitExceeded rather than ever returning a wrong answer.
+    BranchLimitExceeded rather than ever returning a wrong answer.  A search
+    deeper than Python's recursion limit raises ValueError.
     """
     if order is not None:
         order = _check_permutation(order, s.n, "elimination")
@@ -267,7 +268,12 @@ def minimize_u(
         for b in _literals(c):
             occ[b] += w
     search = _Search(s.n, order, shortcut, branch_limit, base, s.m + 1)
-    search.run(dict(clauses), occ, base)
+    try:
+        search.run(dict(clauses), occ, base)
+    except RecursionError:  # the search recurses once per fixed variable
+        raise ValueError(
+            f"search depth on {s.n} variables exceeds Python's recursion limit; no answer returned"
+        ) from None
     u_min = search.best
     fixed = {v: value for v, value, _ in search.best_path}
     minimizer = tuple(fixed.get(j, -1) for j in range(s.n))

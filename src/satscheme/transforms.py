@@ -12,7 +12,9 @@ of its steps gives the rows of `resolve` followed by `drop_subsumed`,
 computed on one Python int per clause, with only the new resolvents tested
 for subsumption.  Every job that compares clauses in pairs runs on those
 clause masks (`_masks`): the engine's subsumption, `drop_subsumed`, `shrink`
-and the compatibility graph of `counting.count_by_cliques`.  `resolve` and
+and the compatibility graph of `counting.count_by_cliques`.  So does unit
+propagation: `_set`, `_pure` and `_facts` run `remove_pure_columns`,
+`accept_facts` and both solvers of `pt_solvers`.  `assign`, `resolve` and
 `split` stay on whole-array grids, where one broadcast beats converting to
 masks and back.
 """
@@ -26,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scheme_core import Scheme, Status, evaluate, status
+from .scheme_core import Scheme, Status, evaluate
 
 __all__ = [
     "SplitResult",
@@ -138,8 +140,7 @@ def shrink(s: Scheme) -> Scheme:
     """
     n = s.n
     rows = _masks(s)
-    # while status() is OPEN: no refutation, and not one row of one literal
-    while _refutation(rows, n) is None and not (len(rows) == 1 and rows[0].bit_count() == 1):
+    while _open(rows, n):
         at: dict[int, list[int]] = {}
         for k, c in enumerate(rows):
             at.setdefault(c, []).append(k)
@@ -180,18 +181,7 @@ def remove_pure_columns(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
     round removes the lowest pure column, so the trail is in that order.
     Columns with no fills at all are left alone (nothing forces them).
     """
-    cells = s.cells
-    col_ids = list(range(s.n))
-    removed: list[tuple[int, bool]] = []
-    while True:
-        has_pos = (cells == 1).any(axis=0)
-        pure = has_pos ^ (cells == -1).any(axis=0)
-        if not pure.any():
-            break
-        j = int(np.argmax(pure))
-        removed.append((col_ids.pop(j), bool(has_pos[j])))
-        cells = np.delete(cells[cells[:, j] == 0], j, axis=1)
-    return Scheme(cells), removed
+    return _reduced(s, _pure)
 
 
 def assign(s: Scheme, var: int, value: bool) -> Scheme:
@@ -214,22 +204,18 @@ def accept_facts(s: Scheme) -> tuple[Scheme, list[tuple[int, bool]]]:
     unit clauses is reported rather than consumed).  The trail lists the
     accepted (original column, value) pairs in order.
     """
-    cur = s
-    col_ids = list(range(s.n))
+    return _reduced(s, _facts)
+
+
+def _reduced(s: Scheme, propagate) -> tuple[Scheme, list[tuple[int, bool]]]:
+    """`propagate` (`_pure` or `_facts`) run on the clause masks of `s`, with its trail.
+
+    The scheme keeps the columns the trail does not set, in their order.
+    """
     trail: list[tuple[int, bool]] = []
-    while True:
-        if status(cur) is not Status.OPEN:
-            break
-        units = np.flatnonzero(np.count_nonzero(cur.cells, axis=1) == 1)
-        if not len(units):
-            break
-        row = cur.cells[units[0]]
-        j = int(np.flatnonzero(row)[0])
-        value = bool(row[j] == 1)
-        trail.append((col_ids[j], value))
-        cur = assign(cur, j, value)
-        col_ids.pop(j)
-    return cur, trail
+    rows = propagate(_masks(s), s.n, trail)
+    fixed = dict(trail)
+    return _scheme_of(rows, s.n, [j for j in range(s.n) if j not in fixed]), trail
 
 
 def _resolvents(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -336,6 +322,58 @@ def _literals(c: int) -> list[int]:
         out.append(low.bit_length() - 1)
         c ^= low
     return out
+
+
+def _open(clauses: list[int], n: int) -> bool:
+    """Whether `status` reports OPEN on these clause masks: no refutation, and not one unit clause alone."""
+    return _refutation(clauses, n) is None and not (len(clauses) == 1 and clauses[0].bit_count() == 1)
+
+
+def _set(clauses: list[int], n: int, lit: int) -> list[int]:
+    """The clause masks after literal bit `lit` is made true, in order.
+
+    The clauses holding `lit` go, and its complement, bit (lit + n) mod 2n,
+    leaves the others; a clause that held only the complement is left empty.
+    """
+    bit, keep = 1 << lit, ~(1 << (lit + n) % (2 * n))
+    return [c & keep for c in clauses if not c & bit]
+
+
+def _pure(clauses: list[int], n: int, trail: list[tuple[int, bool]]) -> list[int]:
+    """Set the lowest single-polarity column to its polarity until none is left.
+
+    A column is pure when the OR of all clauses holds exactly one of its two
+    literals; a column with no literal is not.  Each (column, value) set goes
+    on `trail`.
+    """
+    while True:
+        union = 0
+        for c in clauses:
+            union |= c
+        pos, neg = union & ((1 << n) - 1), union >> n
+        pure = pos ^ neg
+        if not pure:
+            return clauses
+        j = (pure & -pure).bit_length() - 1
+        value = bool(pos >> j & 1)
+        trail.append((j, value))
+        clauses = _set(clauses, n, j if value else j + n)
+
+
+def _facts(clauses: list[int], n: int, trail: list[tuple[int, bool]]) -> list[int]:
+    """Set the first unit clause, in clause order, while `_open` holds and one is left.
+
+    Each (column, value) set goes on `trail`.
+    """
+    while _open(clauses, n):
+        # an open formula holds no empty clause, so the powers of two here are units
+        unit = next((c for c in clauses if not c & (c - 1)), None)
+        if unit is None:
+            break
+        b = unit.bit_length() - 1
+        trail.append((b % n, b < n))
+        clauses = _set(clauses, n, b)
+    return clauses
 
 
 def _occurrences(rows: list[int], lits: dict[int, list[int]], width: int) -> list[int]:

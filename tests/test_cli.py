@@ -365,14 +365,23 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
         ),
         (["parse"], '{"scheme_text": 5}', "JSON 'scheme_text' must be a string, not int"),
         (["parse"], '{"scheme_text": ["+ -"]}', "JSON 'scheme_text' must be a string, not list"),
+        (  # the chain (x_i or not x_{i+1}) fixes one variable per level of the search
+            ["minimize"],
+            "p cnf 1200 1199\n" + "".join(f"{i} -{i + 1} 0\n" for i in range(1, 1200)),
+            "search depth on 1200 variables exceeds Python's recursion limit; no answer returned",
+        ),
     ],
-    ids=["oracle", "solve-oracle", "count", "minimize", "solve-minimize", "scheme-text-int", "scheme-text-list"],
+    ids=[
+        "oracle", "solve-oracle", "count", "minimize", "solve-minimize", "scheme-text-int", "scheme-text-list",
+        "minimize-deep-chain",
+    ],
 )
 def test_budget_and_input_errors_exit_1(capsys, monkeypatch, argv, stdin_text, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
     assert captured.err == f"error: {message}\n"
 
 

@@ -6,7 +6,7 @@ from satscheme.oracle import oracle_scan
 from satscheme.pt_solvers import is_2sat, is_horn, solve_2sat, solve_horn
 from satscheme.scheme_core import Scheme, evaluate
 
-from conftest import random_horn_scheme, random_scheme
+from conftest import random_horn_scheme, random_scheme, with_empty_columns
 
 
 def test_class_predicates(f5, g):
@@ -72,23 +72,61 @@ def test_solve_horn_precondition(g):
         solve_horn(g)
 
 
-def test_solve_2sat_matches_oracle():
+@pytest.mark.parametrize("pad", [None, 1, 7])
+def test_solve_2sat_matches_oracle(pad):
     rng = random.Random(151)
     for _ in range(500):
-        s = random_scheme(rng, n_max=10, m_max=15, k_max=2, empty_row_prob=0.03)
+        base = random_scheme(rng, n_max=10, m_max=15, k_max=2, empty_row_prob=0.03)
+        s = with_empty_columns(base, pad)  # empty columns leave satisfiability as it is
         res = solve_2sat(s)
-        truth = oracle_scan(s).count > 0
+        truth = oracle_scan(base).count > 0
         assert res.satisfiable == truth
         if res.satisfiable:
             assert evaluate(s, res.witness)
 
 
-def test_solve_horn_matches_oracle():
+@pytest.mark.parametrize("pad", [None, 1, 7])
+def test_solve_horn_matches_oracle(pad):
     rng = random.Random(157)
     for _ in range(500):
-        s = random_horn_scheme(rng, n_max=10, m_max=15)
+        base = random_horn_scheme(rng, n_max=10, m_max=15)
+        s = with_empty_columns(base, pad)  # empty columns leave satisfiability as it is
         res = solve_horn(s)
-        truth = oracle_scan(s).count > 0
+        truth = oracle_scan(base).count > 0
         assert res.satisfiable == truth
         if res.satisfiable:
             assert evaluate(s, res.witness)
+
+
+# x1 is pure; then the fact x2 chains to x3 and x4
+_PURE_THEN_FACTS = [[1, -1, 0, 0], [0, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 1, -1]]
+# the facts x1, x2 leave the negative units not-x3 and not-x4, which all-false satisfies
+_NEGATIVE_UNITS = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, -1, 0], [0, -1, 0, -1], [0, 0, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "solver, rows, expected",
+    [
+        # column 0 holds no literal; the probe lands on it first and sets it true
+        (solve_2sat, [[0, 1, 1], [0, -1, -1]], (True, (1, 1, -1), 3)),
+        # two quiet components: the first probe commits, the second block is solved after it
+        (
+            solve_2sat,
+            [[1, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, -1], [0, 0, 1, -1]],
+            (True, (1, -1, 1, -1), 4),
+        ),
+        # the probe x1 = true fails, and x1 = false fails with its step still counted
+        (solve_2sat, [[1, 1], [1, -1], [-1, 1], [-1, -1]], (False, None, 1)),
+        (solve_2sat, _PURE_THEN_FACTS, (True, (1, 1, 1, 1), 4)),
+        (solve_horn, _PURE_THEN_FACTS, (True, (1, 1, 1, 1), 4)),
+        (solve_horn, _NEGATIVE_UNITS, (True, (1, 1, -1, -1), 2)),
+        (solve_2sat, _NEGATIVE_UNITS, (True, (1, 1, -1, -1), 4)),
+    ],
+    ids=[
+        "absent-column-probe", "probe-commit", "both-probes-fail", "pure-then-facts-2sat", "pure-then-facts-horn",
+        "negative-units-horn", "negative-units-2sat",
+    ],
+)
+def test_solver_outputs_fixed_cases(solver, rows, expected):
+    res = solver(Scheme.from_rows(rows))
+    assert (res.satisfiable, res.witness, res.steps) == expected
