@@ -193,13 +193,14 @@ def check_eigen_bounds(s: Scheme, mode: str = "auto") -> Verdict:
     replaces the scan by the absolute-coefficient bound and a greedy
     descent for the witness.  All float comparisons keep an EPS margin.
     """
-    if s.n < 1:
-        return Verdict.inconclusive(reason="no variables")
     return _eigen_verdict(s, pb_coefficients(s, "canonical"), mode)
 
 
 def _eigen_verdict(s: Scheme, p: PBForm, mode: str) -> Verdict:
-    """`check_eigen_bounds` on n >= 1 variables, reading the canonical form `p`."""
+    """`check_eigen_bounds` reading the canonical form `p`; inconclusive
+    with reason "no variables" when n = 0, before `mode` is read."""
+    if s.n < 1:
+        return Verdict.inconclusive(reason="no variables")
     if mode == "auto":
         mode = "exact" if s.n <= EXACT_EIGEN_LIMIT else "relaxed"
     if mode not in ("exact", "relaxed"):
@@ -292,10 +293,7 @@ def run_all(s: Scheme) -> CheckReport:
     if s.max_clause_size() <= 3:
         p = pb_coefficients(s, "canonical")
         checks["coefficient_bound"] = check_coefficient_bound(p)
-        if s.n >= 1:
-            checks["eigen_bounds"] = _eigen_verdict(s, p, "auto")
-        else:
-            checks["eigen_bounds"] = Verdict.inconclusive(reason="no variables")
+        checks["eigen_bounds"] = _eigen_verdict(s, p, "auto")
     else:
         note = Verdict.inconclusive(reason="needs at most 3 literals per clause")
         checks["coefficient_bound"] = note

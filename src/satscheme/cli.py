@@ -13,7 +13,6 @@ input and budget errors, 2 for command-line usage errors (from argparse).
 from __future__ import annotations
 
 import argparse
-import enum
 import functools
 import json
 import sys
@@ -37,24 +36,14 @@ EXIT_UNSAT = 20
 EXIT_ERROR = 1
 
 
-def _jsonify(value):
+def _json_default(value):
     if isinstance(value, Dyadic):
         return str(value)
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(_jsonify(k)): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: _jsonify(getattr(value, k)) for k in value.__dataclass_fields__}
-    if isinstance(value, float) and value == float("-inf"):
-        return "-inf"
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(_jsonify(payload), indent=2))
+    print(json.dumps(payload, indent=2, default=_json_default))
 
 
 def _witness_json(witness):
@@ -78,7 +67,15 @@ def read_scheme(args) -> Scheme:
         grid = payload["scheme_text"]
         if not isinstance(grid, str):
             raise SchemeParseError(f"JSON 'scheme_text' must be a string, not {type(grid).__name__}")
-        return parse_scheme_text(grid)
+        s = parse_scheme_text(grid)
+        n = payload.get("n", s.n)
+        if type(n) is not int or n < 0:
+            raise SchemeParseError(f"JSON 'n' must be a non-negative int, not {json.dumps(n)}")
+        if s.m == 0:  # grid text with no rows cannot carry the column count
+            return Scheme.empty(n)
+        if n != s.n:
+            raise SchemeParseError(f"JSON 'n' is {n} but 'scheme_text' has {s.n} columns")
+        return s
     for line in stripped.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -122,9 +119,13 @@ def _index(token: str, size: int, what: str, spec: str) -> int:
 
 
 def _parse_order(text: str | None, n: int) -> list[int] | None:
+    """--order text -> 0-based permutation; it must name each of 1..n once."""
     if text is None:
         return None
-    return [_index(tok, n, "variable", text) for tok in text.split(",") if tok.strip()]
+    order = [_index(tok, n, "variable", text) for tok in text.split(",")] if text.strip() else []
+    if sorted(order) != list(range(n)):
+        raise SchemeParseError(f"order {text!r} must name each variable 1..{n} exactly once")
+    return order
 
 
 # --- transform pipeline ------------------------------------------------------
@@ -249,7 +250,7 @@ def _cmd_check(args) -> int:
         {
             "overall": report.overall.value,
             "checks": {
-                name: {"verdict": v.kind.value, "evidence": _jsonify(v.evidence)}
+                name: {"verdict": v.kind.value, "evidence": v.evidence}
                 for name, v in report.checks.items()
             },
         }
@@ -264,14 +265,11 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     s = read_scheme(args)
     method = args.method
-    if method == "2sat":
-        res = pt_solvers.solve_2sat(s)
-        sat, witness = res.satisfiable, res.witness
-        payload = {"method": method, "satisfiable": sat, "witness": _witness_json(witness), "steps": res.steps}
-    elif method == "horn":
-        res = pt_solvers.solve_horn(s)
-        sat, witness = res.satisfiable, res.witness
-        payload = {"method": method, "satisfiable": sat, "witness": _witness_json(witness), "steps": res.steps}
+    if method in ("2sat", "horn"):
+        # looked up at call time, so wrappers set on pt_solvers apply
+        res = getattr(pt_solvers, f"solve_{method}")(s)
+        sat = res.satisfiable
+        payload = {"method": method, "satisfiable": sat, "witness": _witness_json(res.witness), "steps": res.steps}
     elif method == "oracle":
         report = oracle.oracle_scan(s, limit=args.limit)
         sat = report.count > 0
@@ -307,12 +305,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_minimize(args) -> int:
     s = read_scheme(args)
-    outcome = minimizer.minimize_u(
-        s,
-        order=_parse_order(args.order, s.n),
-        shortcut=not args.no_shortcut,
-        branch_limit=args.branch_limit,
-    )
+    outcome = minimizer.minimize_u(s, order=_parse_order(args.order, s.n), branch_limit=args.branch_limit)
     _print_json(
         {
             "u_min": str(outcome.u_min),
@@ -440,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="exact minimum of the violated-clause count")
     _add_input_opts(p)
     p.add_argument("--order", help="comma-separated 1-based elimination order")
-    p.add_argument("--no-shortcut", action="store_true", help="disable the unit-pair lower bound")
     _add_branch_limit_opt(p)
     p.set_defaults(func=_cmd_minimize)
 

@@ -132,17 +132,18 @@ def count_by_cliques(s: Scheme) -> CountResult:
     return CountResult(total=total, partials=partials, cluster_count=clusters)
 
 
-def count_via_primes(s: Scheme, n_limit: int = FULL_BLOW_UP_LIMIT) -> int:
+def count_via_primes(s: Scheme) -> int:
     """Model count as the number of primes missing from the full blow-up.
 
     A prime (clause containing every variable) excludes exactly one
     assignment, and blowing every clause up to primes leaves the solution
     set untouched; the assignments not excluded are precisely the models.
     Equivalent to full_blow_up + deduplication, but tracked as a presence
-    mask over the 2**n possible primes.
+    mask over the 2**n possible primes, so n is capped at FULL_BLOW_UP_LIMIT
+    (ValueError above it).
     """
-    if s.n > n_limit:
-        raise ValueError(f"count_via_primes refuses n={s.n} > limit {n_limit}")
+    if s.n > FULL_BLOW_UP_LIMIT:
+        raise ValueError(f"count_via_primes refuses n={s.n} > limit {FULL_BLOW_UP_LIMIT}")
     n = s.n
     present = np.zeros(1 << n, dtype=bool)
     for i in range(s.m):

@@ -164,10 +164,9 @@ class _Search:
     `floor` is the base cost: no assignment violates fewer clauses.
     """
 
-    def __init__(self, n: int, order: list[int] | None, shortcut: bool, branch_limit: int | None, floor: int, best: int):
+    def __init__(self, n: int, order: list[int] | None, branch_limit: int | None, floor: int, best: int):
         self.n = n
         self.order = order
-        self.shortcut = shortcut
         self.branch_limit = branch_limit
         self.floor = floor
         self.best = best
@@ -188,19 +187,18 @@ class _Search:
             return
         n = self.n
         unit = None
-        if self.shortcut:
-            units = [c for c in clauses if not c & (c - 1)]
-            bound = cost
-            for c in units:
-                if c >> n == 0:
-                    bound += min(clauses[c], clauses.get(c << n, 0))
-            if bound >= self.best:
-                self.shortcut_hits += 1
-                return
-            if bound == self.best - 1:
-                # an improvement violates no clause outside the bound, so a unit
-                # clause c whose complement (c >> n or c << n) is no clause must hold
-                unit = next((c.bit_length() - 1 for c in units if (c >> n or c << n) not in clauses), None)
+        units = [c for c in clauses if not c & (c - 1)]
+        bound = cost
+        for c in units:
+            if c >> n == 0:
+                bound += min(clauses[c], clauses.get(c << n, 0))
+        if bound >= self.best:
+            self.shortcut_hits += 1
+            return
+        if bound == self.best - 1:
+            # an improvement violates no clause outside the bound, so a unit
+            # clause c whose complement (c >> n or c << n) is no clause must hold
+            unit = next((c.bit_length() - 1 for c in units if (c >> n or c << n) not in clauses), None)
         if unit is not None:
             v, choices, case = unit % n, (1 if unit < n else -1,), "unit"
         else:
@@ -247,15 +245,15 @@ class _Search:
 def minimize_u(
     s: Scheme,
     order: Sequence[int] | None = None,
-    shortcut: bool = True,
     branch_limit: int | None = BRANCH_LIMIT,
 ) -> MinimizeOutcome:
     """Exact minimum of the violated-clause count over all assignments.
 
     Branches on the most frequent variable, or in `order` when one is given
-    (a permutation of the columns).  `shortcut` enables the unit-pair lower
-    bound; the result is identical either way.  `branch_limit` (default
-    BRANCH_LIMIT, None for unlimited) aborts runaway instances with
+    (a permutation of the columns).  Every node applies the unit-pair lower
+    bound; when the bound is one below the incumbent, a unit clause whose
+    complement is no clause is set without a branch.  `branch_limit`
+    (default BRANCH_LIMIT, None for unlimited) aborts runaway instances with
     BranchLimitExceeded rather than ever returning a wrong answer.  A search
     deeper than Python's recursion limit raises ValueError.
     """
@@ -267,7 +265,7 @@ def minimize_u(
     for c, w in clauses.items():
         for b in _literals(c):
             occ[b] += w
-    search = _Search(s.n, order, shortcut, branch_limit, base, s.m + 1)
+    search = _Search(s.n, order, branch_limit, base, s.m + 1)
     try:
         search.run(dict(clauses), occ, base)
     except RecursionError:  # the search recurses once per fixed variable

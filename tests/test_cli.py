@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,56 @@ def test_stdin_scheme_text(capsys, monkeypatch):
     assert json.loads(out)["m"] == 2
 
 
+@pytest.mark.parametrize(
+    "dimacs, first, total",
+    [
+        ("p cnf 5 0\n", ["parse"], 32),
+        ("p cnf 3 2\n1 0\n1 2 0\n", ["transform", "--ops", "assign:1=true"], 4),
+    ],
+    ids=["parse-no-clauses", "transform-to-no-clauses"],
+)
+def test_json_pipe_keeps_the_column_count_of_no_clauses(capsys, monkeypatch, dimacs, first, total):
+    # grid text with no rows is "", so the count must come from the payload's n
+    monkeypatch.setattr("sys.stdin", io.StringIO(dimacs))
+    assert main(first) == 0
+    payload = capsys.readouterr().out
+    assert json.loads(payload)["scheme_text"] == ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert main(["count"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == total
+
+
+# --- byte-exact output on the fixtures -----------------------------------------
+
+_FIXTURE_OUTPUTS = Path(__file__).with_name("cli_fixture_outputs.txt")
+
+
+def _fixture_output_cases():
+    """One case per `### FIXTURE: COMMAND` section of the outputs file.
+
+    A section holds `exit CODE`, then the `error: …` line when there is one,
+    then stdout exactly.  The command reads the fixture as DIMACS on stdin.
+    """
+    cases = []
+    for section in re.split(r"^### ", _FIXTURE_OUTPUTS.read_text(encoding="utf-8"), flags=re.M)[1:]:
+        header, code_line, body = section.split("\n", 2)
+        name, command = header.split(": ", 1)
+        err = ""
+        if body.startswith("error: "):
+            err, _, body = body.partition("\n")
+            err += "\n"
+        cases.append(pytest.param(name, command.split(), int(code_line.removeprefix("exit ")), err, body, id=header))
+    return cases
+
+
+@pytest.mark.parametrize("name, argv, code, err, out", _fixture_output_cases())
+def test_cli_output_on_fixtures_is_byte_exact(capsys, monkeypatch, name, argv, code, err, out):
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_dimacs(fixture(name))))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, out)
+
+
 # --- one parser for every request ---------------------------------------------
 
 _F5_DIMACS = emit_dimacs(fixture("F5"))
@@ -333,6 +384,13 @@ def test_usage_error_on_the_reused_parser_exits_2(capsys):
     assert errors[0].endswith("satscheme: error: unrecognized arguments: --bogus\n")
 
 
+def test_no_shortcut_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--no-shortcut"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("satscheme: error: unrecognized arguments: --no-shortcut\n")
+
+
 # --- input and budget errors: exit 1, `error: …`, nothing on stdout -------------
 
 def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
@@ -341,6 +399,9 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
         lits = [rng.choice((1, -1)) * (c + 1) for c in rng.sample(range(n), 3)]
         lines.append(" ".join(map(str, lits)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+_TWO_VARS = "p cnf 2 1\n1 2 0\n"
 
 
 @pytest.mark.parametrize(
@@ -354,7 +415,7 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
         ),
         (["count"], "p cnf 64 1\n1 64 0\n", "count_solutions refuses n=64 > limit 63"),
         (  # this formula needs more than one branch
-            ["minimize", "--no-shortcut", "--branch-limit", "1"],
+            ["minimize", "--branch-limit", "1"],
             _random_3sat_dimacs(random.Random(3), 8, 34),
             "exceeded branch limit 1; no answer returned",
         ),
@@ -365,6 +426,24 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
         ),
         (["parse"], '{"scheme_text": 5}', "JSON 'scheme_text' must be a string, not int"),
         (["parse"], '{"scheme_text": ["+ -"]}', "JSON 'scheme_text' must be a string, not list"),
+        (["count"], '{"n": -1, "scheme_text": ""}', "JSON 'n' must be a non-negative int, not -1"),
+        (["count"], '{"n": true, "scheme_text": ""}', "JSON 'n' must be a non-negative int, not true"),
+        (["count"], '{"n": "5", "scheme_text": ""}', 'JSON \'n\' must be a non-negative int, not "5"'),
+        (["parse"], '{"n": 3, "scheme_text": "+ -"}', "JSON 'n' is 3 but 'scheme_text' has 2 columns"),
+        (["minimize", "--order", "1"], _TWO_VARS, "order '1' must name each variable 1..2 exactly once"),
+        (["minimize", "--order", "2,2"], _TWO_VARS, "order '2,2' must name each variable 1..2 exactly once"),
+        (["minimize", "--order", "1,,2"], _TWO_VARS, "bad variable '' in '1,,2'"),
+        (["minimize", "--order", "2,3"], _TWO_VARS, "variable 3 out of range (n=2)"),
+        (
+            ["solve", "--method", "split", "--order", ""],
+            _TWO_VARS,
+            "order '' must name each variable 1..2 exactly once",
+        ),
+        (
+            ["solve", "--method", "minimize", "--order", "1,2,1"],
+            _TWO_VARS,
+            "order '1,2,1' must name each variable 1..2 exactly once",
+        ),
         (  # the chain (x_i or not x_{i+1}) fixes one variable per level of the search
             ["minimize"],
             "p cnf 1200 1199\n" + "".join(f"{i} -{i + 1} 0\n" for i in range(1, 1200)),
@@ -373,6 +452,8 @@ def _random_3sat_dimacs(rng: random.Random, n: int, m: int) -> str:
     ],
     ids=[
         "oracle", "solve-oracle", "count", "minimize", "solve-minimize", "scheme-text-int", "scheme-text-list",
+        "json-n-negative", "json-n-bool", "json-n-string", "json-n-width", "order-short", "order-repeat",
+        "order-empty-token", "order-out-of-range", "solve-split-order-empty", "solve-minimize-order-long",
         "minimize-deep-chain",
     ],
 )
